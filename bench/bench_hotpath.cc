@@ -67,7 +67,6 @@ struct ScoringRow {
 double MeasureScoring(const core::OptumProfiles& profiles,
                       const std::vector<const AppProfile*>& catalog, int num_hosts,
                       int prefill_per_host, int warmup, int stream, bool cached,
-                      size_t num_threads = 0,
                       obs::MetricRegistry* registry = nullptr,
                       obs::DecisionLog* decision_log = nullptr,
                       obs::SpanLog* span_log = nullptr,
@@ -89,7 +88,6 @@ double MeasureScoring(const core::OptumProfiles& profiles,
 
   core::OptumConfig config;
   config.use_incremental_cache = cached;
-  config.num_threads = num_threads;
   core::OptumScheduler scheduler(profiles, config);
   obs::Sinks sinks;
   sinks.metrics = registry;
@@ -288,7 +286,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_metrics_on = std::max(
           row.pods_per_sec_metrics_on,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, /*pressure=*/nullptr,
                          /*profiler=*/nullptr, &row.cache_stats));
@@ -299,7 +297,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_decision_log = std::max(
           row.pods_per_sec_decision_log,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry, &log));
+                         /*cached=*/true, &registry, &log));
     }
     {
       // Span log + streaming series on top of the registry: the lifecycle
@@ -314,7 +312,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_spans = std::max(
           row.pods_per_sec_spans,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, &span_log, &series));
       span_log.Flush();
       series.Flush();
@@ -338,7 +336,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_pressure = std::max(
           row.pods_per_sec_pressure,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, &monitor));
       monitor.Finalize();
@@ -360,7 +358,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_profile = std::max(
           row.pods_per_sec_profile,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, /*pressure=*/nullptr, &profiler));
       profiler.Finalize();
@@ -387,67 +385,6 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
   row.profile_incremental_pct =
       overhead_pct(row.pods_per_sec_profile, row.pods_per_sec_metrics_on);
   return row;
-}
-
-struct ThreadsRow {
-  int hosts = 0;
-  int pods = 0;
-  size_t threads = 0;       // OptumConfig::num_threads (0 = serial path)
-  double pods_per_sec = 0.0;
-  double speedup = 0.0;     // vs the threads=0 row of the same cluster size
-};
-
-// Thread-count sweep over the same steady-state loop: placements are
-// bit-identical for every thread count (lane-sharded key-pure caches), so
-// the rows differ only in wall clock.
-std::vector<ThreadsRow> RunThreadsSweep(const core::OptumProfiles& profiles,
-                                        const std::vector<const AppProfile*>& catalog,
-                                        int num_hosts, int stream) {
-  constexpr int kPrefillPerHost = 16;
-  const int warmup = stream;
-  std::vector<ThreadsRow> rows;
-  for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-    std::printf("scoring %d hosts with num_threads=%zu...\n", num_hosts, threads);
-    ThreadsRow row;
-    row.hosts = num_hosts;
-    row.pods = stream;
-    row.threads = threads;
-    row.pods_per_sec = MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost,
-                                      warmup, stream, /*cached=*/true, threads);
-    row.speedup = rows.empty() ? 1.0 : row.pods_per_sec / rows.front().pods_per_sec;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-bool WriteThreadsJson(const std::string& path, const std::vector<ThreadsRow>& rows,
-                      unsigned hw_threads) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"hotpath_threads\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw_threads);
-  if (hw_threads <= 1) {
-    std::fprintf(f,
-                 "  \"note\": \"single-core machine: worker threads time-slice one "
-                 "core, so speedup ~= 1/(1+overhead); re-run on a multi-core box "
-                 "for the parallel scaling number\",\n");
-  }
-  std::fprintf(f, "  \"scoring_threads\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ThreadsRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"hosts\": %d, \"pods\": %d, \"threads\": %zu, "
-                 "\"pods_per_sec\": %.1f, \"speedup_vs_serial\": %.2f}%s\n",
-                 r.hosts, r.pods, r.threads, r.pods_per_sec, r.speedup,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return true;
 }
 
 struct ForestBatchRow {
@@ -828,7 +765,6 @@ int Main(int argc, char** argv) {
   bool run_tick = true;
   bool forest_only = false;
   bool serve_only = false;
-  bool threads_sweep = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scoring-only") {
@@ -852,10 +788,6 @@ int Main(int argc, char** argv) {
       serve_only = true;
       run_scoring = false;
       run_tick = false;
-    } else if (arg == "--threads-sweep") {
-      // Scoring-throughput sweep over OptumConfig::num_threads {0,2,4};
-      // replaces the default sections and writes the threads JSON schema.
-      threads_sweep = true;
     } else {
       out_path = arg;
     }
@@ -877,7 +809,7 @@ int Main(int argc, char** argv) {
   core::OptumProfiles profiles;
   std::vector<const AppProfile*> catalog;
   Workload reference;
-  if (run_scoring || run_tick || threads_sweep || serve_only) {
+  if (run_scoring || run_tick || serve_only) {
     std::printf("training profiles from the 64-host reference run...\n");
     reference = WorkloadGenerator(bench::DefaultWorkloadConfig()).Generate();
     AlibabaBaseline reference_policy = bench::MakeReferenceScheduler();
@@ -885,21 +817,6 @@ int Main(int argc, char** argv) {
     const SimResult reference_result = reference_sim.Run();
     profiles = bench::BuildProfiles(reference_result.trace);
     catalog = SchedulableApps(reference);
-  }
-
-  if (threads_sweep) {
-    if (out_path == "BENCH_hotpath.json") {
-      out_path = "BENCH_hotpath_threads.json";
-    }
-    const std::vector<ThreadsRow> rows =
-        RunThreadsSweep(profiles, catalog, /*num_hosts=*/1000, /*stream=*/4000);
-    TablePrinter table({"hosts", "threads", "pods/s", "speedup"});
-    for (const ThreadsRow& r : rows) {
-      table.AddRow({std::to_string(r.hosts), std::to_string(r.threads),
-                    FormatDouble(r.pods_per_sec, 1), FormatDouble(r.speedup, 2)});
-    }
-    table.Print();
-    return WriteThreadsJson(out_path, rows, hw_threads) ? 0 : 1;
   }
 
   std::vector<ScoringRow> scoring;

@@ -10,6 +10,12 @@ std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
+std::string FormatFixed(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
 void TablePrinter::AddRow(const std::vector<double>& cells, int precision) {
   std::vector<std::string> row;
   row.reserve(cells.size());

@@ -26,8 +26,14 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Formats a double compactly ("%.*g" with sensible width).
+// Formats a double compactly ("%.*g" with sensible width). `precision` is
+// significant digits, so large values switch to exponent form (20412 at
+// precision 1 is "2e+04"); use FormatFixed for throughputs and totals.
 std::string FormatDouble(double v, int precision = 4);
+
+// Formats a double in fixed notation with `decimals` digits after the point
+// ("%.*f"): 20412.34 at 1 decimal is "20412.3".
+std::string FormatFixed(double v, int decimals);
 
 }  // namespace optum
 

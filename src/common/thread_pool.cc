@@ -58,24 +58,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   Wait();
 }
 
-void ThreadPool::ParallelForLane(size_t n, const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  const size_t shards = std::min(n, num_lanes());
-  std::atomic<size_t> next{0};
-  auto shard_body = [&](size_t lane) {
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      fn(lane, i);
-    }
-  };
-  for (size_t lane = 1; lane < shards; ++lane) {
-    Submit([&shard_body, lane] { shard_body(lane); });
-  }
-  shard_body(0);  // The calling thread also works, as lane 0.
-  Wait();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -12,9 +12,9 @@ namespace optum::core {
 
 DistributedCoordinator::DistributedCoordinator(const OptumProfiles& profiles,
                                                DistributedConfig config)
-    : pool_(std::max<size_t>(1, config.num_schedulers)),
-      max_attempts_per_pod_(std::max<size_t>(1, config.max_attempts_per_pod)),
-      pipeline_depth_(std::max<size_t>(1, config.pipeline_depth)) {
+    : max_attempts_per_pod_(std::max<size_t>(1, config.max_attempts_per_pod)),
+      pipeline_depth_(std::max<size_t>(1, config.pipeline_depth)),
+      crew_(std::max<size_t>(1, config.num_schedulers)) {
   OPTUM_CHECK_GE(config.num_schedulers, 1u);
   pipelines_.resize(config.num_schedulers);
   shards_.reserve(config.num_schedulers);
@@ -24,9 +24,6 @@ DistributedCoordinator::DistributedCoordinator(const OptumProfiles& profiles,
     // conflicts stay possible (hot hosts score high for everyone) but the
     // shards do not trivially collide on every decision.
     shard_config.seed = config.scheduler_config.seed + 0x9e3779b9u * (i + 1);
-    // Shards themselves run concurrently here; candidate scoring within a
-    // shard parallelizes only when the caller asks for it explicitly.
-    shard_config.num_threads = config.shard_num_threads;
     shards_.push_back(std::make_unique<OptumScheduler>(profiles, shard_config));
   }
 }
@@ -38,13 +35,13 @@ void DistributedCoordinator::AttachSinks(const obs::Sinks& sinks) {
   span_log_ = sinks.span_log;
   profiler_ = sinks.profile;
   if (profiler_ != nullptr) {
-    // One profiler lane per shard: each shard task records its barrier
+    // One profiler lane per shard: each shard lane records its barrier
     // phases into its own lane; the serial phases use lane 0.
     profiler_->set_num_lanes(shards_.size());
   }
   obs::MetricRegistry* registry = sinks.metrics;
-  // Shard s scores on its own coordinator-pool task; giving it registry
-  // lane s keeps concurrent shard updates on distinct metric shards. The
+  // Shard s scores on crew lane s; giving it registry lane s keeps
+  // concurrent shard updates on distinct metric shards. The
   // coordinator's own counters (lane 0) are only touched in the serial
   // resolution phase, never while shards are deciding. Shards receive the
   // metrics sink only — span/decision logs must not be written from
@@ -124,62 +121,65 @@ DistributedOutcome DistributedCoordinator::ScheduleBatch(
       double score = 0.0;
     };
     std::vector<ShardDecision> decisions(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (!queues[s].empty()) {
+        decisions[s].active = true;
+        decisions[s].entry = queues[s].front();
+        queues[s].pop_front();
+      }
+    }
     // Barrier wall for the profiler's critical-path rule: measured serially
-    // around Submit..Wait so it is the true round-bounding time even when
-    // shard tasks time-slice on few cores (DESIGN.md §14).
+    // around the crew round so it is the true round-bounding time even when
+    // shard lanes time-slice on few cores (DESIGN.md §14).
     std::chrono::steady_clock::time_point barrier_start;
     if (profiler_ != nullptr) {
       barrier_start = std::chrono::steady_clock::now();
     }
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (queues[s].empty()) {
-        continue;
+    // Lane s decides for shard s; lane 0 runs on this thread. Every lane
+    // touches only its own shard, pipeline, queue and decision slot.
+    crew_.Run([&](size_t s) {
+      if (!decisions[s].active) {
+        return;
       }
-      decisions[s].active = true;
-      decisions[s].entry = queues[s].front();
-      queues[s].pop_front();
-      pool_.Submit([&, s] {
-        OptumScheduler& shard = *shards_[s];
-        ShardPipeline& pipe = pipelines_[s];
-        ShardDecision& d = decisions[s];
-        {
-          // Head settle: finalize a staged speculation or score fresh. Both
-          // paths run under the same phase scope so the scope count (pods
-          // settled) is identical for every pipeline_depth.
-          obs::RoundProfiler::Scope settle(
-              profiler_, obs::ProfilePhase::kFinalizeRevalidate, s);
-          if (!pipe.specs.empty()) {
-            // Head was speculated in an earlier round (specs[0] ↔ old queue
-            // front, the pod just popped).
-            OptumScheduler::SpeculativeScore spec = std::move(pipe.specs.front());
-            pipe.specs.pop_front();
-            d.decision = shard.FinalizeSpeculative(*d.entry.pod, cluster, &spec, &d.score);
-            spec.Clear();
-            pipe.free.push_back(std::move(spec));
-          } else {
-            d.decision = shard.PlaceScored(*d.entry.pod, cluster, &d.score);
-          }
+      OptumScheduler& shard = *shards_[s];
+      ShardPipeline& pipe = pipelines_[s];
+      ShardDecision& d = decisions[s];
+      {
+        // Head settle: finalize a staged speculation or score fresh. Both
+        // paths run under the same phase scope so the scope count (pods
+        // settled) is identical for every pipeline_depth.
+        obs::RoundProfiler::Scope settle(
+            profiler_, obs::ProfilePhase::kFinalizeRevalidate, s);
+        if (!pipe.specs.empty()) {
+          // Head was speculated in an earlier round (specs[0] ↔ old queue
+          // front, the pod just popped).
+          OptumScheduler::SpeculativeScore spec = std::move(pipe.specs.front());
+          pipe.specs.pop_front();
+          d.decision = shard.FinalizeSpeculative(*d.entry.pod, cluster, &spec, &d.score);
+          spec.Clear();
+          pipe.free.push_back(std::move(spec));
+        } else {
+          d.decision = shard.PlaceScored(*d.entry.pod, cluster, &d.score);
         }
-        // Speculative top-up: always scoped — empty work at depth 1 or on
-        // speculation-declining shards — so the scope count (active
-        // shard-rounds) is depth-invariant too.
-        obs::RoundProfiler::Scope spec_scope(profiler_,
-                                             obs::ProfilePhase::kSpecScore, s);
-        if (pipeline_depth_ > 1 && shard.speculation_supported()) {
-          while (pipe.specs.size() + 1 < pipeline_depth_ &&
-                 pipe.specs.size() < queues[s].size()) {
-            OptumScheduler::SpeculativeScore spec;
-            if (!pipe.free.empty()) {
-              spec = std::move(pipe.free.back());
-              pipe.free.pop_back();
-            }
-            shard.BeginSpeculative(*queues[s][pipe.specs.size()].pod, cluster, &spec);
-            pipe.specs.push_back(std::move(spec));
+      }
+      // Speculative top-up: always scoped — empty work at depth 1 or on
+      // speculation-declining shards — so the scope count (active
+      // shard-rounds) is depth-invariant too.
+      obs::RoundProfiler::Scope spec_scope(profiler_,
+                                           obs::ProfilePhase::kSpecScore, s);
+      if (pipeline_depth_ > 1 && shard.speculation_supported()) {
+        while (pipe.specs.size() + 1 < pipeline_depth_ &&
+               pipe.specs.size() < queues[s].size()) {
+          OptumScheduler::SpeculativeScore spec;
+          if (!pipe.free.empty()) {
+            spec = std::move(pipe.free.back());
+            pipe.free.pop_back();
           }
+          shard.BeginSpeculative(*queues[s][pipe.specs.size()].pod, cluster, &spec);
+          pipe.specs.push_back(std::move(spec));
         }
-      });
-    }
-    pool_.Wait();
+      }
+    });
     int64_t barrier_ns = 0;
     if (profiler_ != nullptr) {
       barrier_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -10,6 +10,9 @@
 // K independent OptumScheduler instances, runs their decisions in parallel
 // against a shared read-only cluster snapshot, resolves conflicts, and
 // loops re-dispatched pods until the batch is placed or stably rejected.
+// Parallelism is one thread per shard: a persistent ShardCrew of K - 1
+// threads plus the calling thread, which runs shard 0 itself. Each shard
+// scores its candidates serially.
 #ifndef OPTUM_SRC_CORE_DISTRIBUTED_H_
 #define OPTUM_SRC_CORE_DISTRIBUTED_H_
 
@@ -18,7 +21,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "src/common/shard_crew.h"
 #include "src/core/deployment.h"
 #include "src/core/optum_scheduler.h"
 
@@ -30,12 +33,6 @@ struct DistributedConfig {
   // Placement attempts per pod (rejections and lost conflicts both count)
   // before the pod is returned as unplaced.
   size_t max_attempts_per_pod = 4;
-  // Scoring threads *inside* each shard (0 = serial). Shards always run
-  // concurrently with each other on the coordinator pool; this additionally
-  // parallelizes candidate scoring within a shard's decision. Scoring is
-  // bit-identical across thread counts (OptumConfig::num_threads contract),
-  // so this only changes wall-clock, never placements.
-  size_t shard_num_threads = 0;
   // Conflict-round pipelining (DESIGN.md §12): with depth D > 1, each shard
   // keeps up to D-1 future head pods speculatively sampled and scored
   // against an epoch-snapshotted host view, and each round merely
@@ -86,7 +83,7 @@ class DistributedCoordinator {
   //     dist.commits / dist.conflicts counters and times each
   //     conflict-resolution round into dist.round_seconds; every shard
   //     scheduler attaches (metrics only) at its own registry lane (shard s
-  //     uses lane s, the lane its decisions run on), under prefix
+  //     uses lane s, the crew lane its decisions run on), under prefix
   //     "optum.shard<s>" — distinct lanes keep concurrent shard updates on
   //     distinct metric shards.
   //   * sinks.span_log — pod-lifecycle spans. Only the serial
@@ -95,14 +92,15 @@ class DistributedCoordinator {
   //     that lost their host (in shard order) — never the parallel shard
   //     decisions, so the file is deterministic for a given batch.
   //   * sinks.profile — phase-level round profiler (DESIGN.md §14). Each
-  //     shard task times its head settle (finalize_revalidate) and
+  //     shard lane times its head settle (finalize_revalidate) and
   //     speculative top-up (spec_score) into its own profiler lane; the
   //     serial phase times resolve/commit into lane 0, measures the barrier
-  //     wall, and closes the round via EndRound. Both scopes run on every
-  //     active shard-round regardless of pipeline_depth, so scope counts
-  //     stay bit-identical across the depth × thread matrix.
+  //     wall around the crew round, and closes the round via EndRound. Both
+  //     scopes run on every active shard-round regardless of
+  //     pipeline_depth, so scope counts stay bit-identical across the
+  //     depth × ingest matrix.
   // Other fields are ignored; shard-level span/decision logs are
-  // deliberately NOT forwarded (shards decide on parallel pool tasks —
+  // deliberately NOT forwarded (shards decide on parallel crew lanes —
   // interleaved emission would be nondeterministic). Attach those via
   // shard(i) directly, after this call, only when the caller serializes the
   // shards itself.
@@ -111,7 +109,6 @@ class DistributedCoordinator {
  private:
   std::vector<std::unique_ptr<OptumScheduler>> shards_;
   DeploymentModule deployment_;
-  ThreadPool pool_;
   size_t max_attempts_per_pod_;
   size_t pipeline_depth_;
 
@@ -134,6 +131,11 @@ class DistributedCoordinator {
   obs::Histogram* round_timer_ = nullptr;
   obs::SpanLog* span_log_ = nullptr;
   obs::RoundProfiler* profiler_ = nullptr;
+
+  // Lane s runs shard s's decision each conflict round; lane 0 is the
+  // thread calling ScheduleBatch. Declared last: its threads join before
+  // any member a round body touches is destroyed.
+  ShardCrew crew_;
 };
 
 }  // namespace optum::core

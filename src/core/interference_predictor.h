@@ -8,10 +8,10 @@
 // Every cached value is a pure function of its cache key: the model is
 // evaluated at the bucket's canonical point, not at the raw utilization
 // that happened to trigger the miss. That makes predictions independent of
-// cache history (warm vs cold, cleared vs not) and lets parallel candidate
-// scoring keep one private cache shard per thread-pool lane while staying
-// bit-identical to serial scoring — whichever lane computes a value, it
-// computes the same one.
+// cache history (warm vs cold, cleared vs not) and lets concurrent callers
+// keep one private cache shard per lane while staying bit-identical to a
+// single-lane caller — whichever lane computes a value, it computes the
+// same one.
 #ifndef OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 #define OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 

@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/core/interference_predictor.h"
 #include "src/core/profiles.h"
 #include "src/core/resource_usage_predictor.h"
@@ -60,13 +59,6 @@ struct OptumConfig {
 
   // Per-host memory utilization cap (paper §5.1: 0.8).
   double mem_util_limit = 0.8;
-
-  // Worker threads for candidate scoring; 0 scores on the calling thread.
-  // Placements are bit-identical for every value: each thread-pool lane
-  // scores against its own private prediction-cache shard, every cached
-  // value is a pure function of its key, and the best-candidate reduction
-  // runs serially in candidate order.
-  size_t num_threads = 0;
 
   // Ticks between online ERO refreshes in ObserveColocation; 0 disables.
   Tick observe_period = 10;
@@ -116,12 +108,7 @@ class OptumScheduler : public PlacementPolicy {
     // tracked only when a decision log is attached (0 otherwise).
     uint64_t cache_misses = 0;
   };
-  // `lane` selects the private prediction-cache shard to use; parallel
-  // scoring passes each worker's thread-pool lane, serial callers take the
-  // default. The result is lane-independent (cached values are pure
-  // functions of their keys).
-  HostEvaluation EvaluateHost(const PodSpec& pod, const Host& host,
-                              size_t lane = 0) const;
+  HostEvaluation EvaluateHost(const PodSpec& pod, const Host& host) const;
 
   // --- Speculative scoring (pipelined §4.4 rounds, DESIGN.md §12) ---
   //
@@ -206,18 +193,16 @@ class OptumScheduler : public PlacementPolicy {
   //       <prefix>.pred_cache_* / .slope_cache_* / .forest_evals
   //           gauges refreshed by a registered collector from the
   //           predictor's lane-merged CacheStats at every sample/export
-  //     `lane_base` is the registry shard this scheduler's serial-path
-  //     updates use; schedulers running concurrently (distributed shards)
-  //     must use distinct bases. A scheduler with its own scoring pool
-  //     requires lane_base == 0 and grows the registry to its pool's lane
-  //     count.
+  //     `lane_base` is the registry shard this scheduler's updates use;
+  //     schedulers running concurrently (distributed shards) must use
+  //     distinct bases.
   //   * sinks.span_log — PlaceScored (and FinalizeSpeculative) emits a
   //     sampled span (count = candidates drawn) and a scored span (count =
   //     feasible candidates, score = best Eq. 11 score when any) per pod,
-  //     both on the serial reduction path — span output is bit-identical
-  //     for every num_threads. Distinct schedulers must use distinct logs.
+  //     both on the reduction path. Distinct schedulers must use distinct
+  //     logs.
   //   * sinks.decision_log — per-placement Eq. 11 JSONL records, written on
-  //     the serial reduction path of PlaceScored; a scheduler with a
+  //     the reduction path of PlaceScored; a scheduler with a
   //     decision log attached declines speculation (see
   //     speculation_supported()). Distinct schedulers must use distinct
   //     logs.
@@ -254,9 +239,9 @@ class OptumScheduler : public PlacementPolicy {
   // field the evaluation actually depends on: (host id, change_epoch, app,
   // slo, request, per-host affinity limit). A hit returns the stored
   // HostEvaluation, which is bit-identical to recomputing (EvaluateHost is
-  // a pure function of the key; PR 2's lane-pure caches guarantee lane
-  // independence). Entries whose host epoch moved simply stop matching and
-  // are overwritten in place — the table needs no invalidation sweep.
+  // a pure function of the key). Entries whose host epoch moved simply stop
+  // matching and are overwritten in place — the table needs no invalidation
+  // sweep.
   // Profile swaps (ReplaceProfiles / online ERO refresh) bump the
   // generation stamp, which retires every entry at once.
   // One cache line per entry: the probe loop is DRAM-latency-bound on the
@@ -284,8 +269,7 @@ class OptumScheduler : public PlacementPolicy {
 
   // Scores candidates[i] for every i in [0, candidates.size()) into
   // evals/epochs through the memo, skipping indices where `skip` is set
-  // (already valid). Memo probing and insertion run on the calling thread;
-  // only the misses' EvaluateHost calls fan out to the scoring pool.
+  // (already valid).
   void ScoreThroughMemo(const PodSpec& pod, const ClusterState& cluster,
                         const std::vector<HostId>& candidates,
                         const std::vector<uint8_t>* skip,
@@ -305,7 +289,6 @@ class OptumScheduler : public PlacementPolicy {
   OptumConfig config_;
   ResourceUsagePredictor usage_predictor_;
   InterferencePredictor interference_predictor_;
-  std::unique_ptr<ThreadPool> pool_;
   Rng rng_;
   Tick last_observe_ = -1;
 

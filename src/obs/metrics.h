@@ -8,10 +8,10 @@
 //               lane-sharded, merged on read. Unit-agnostic; the scoped
 //               timers feed it seconds.
 //
-// Sharding follows the PR 2 prediction-cache design: every metric owns one
-// cache-line-aligned shard per thread-pool lane, updates name a lane and
-// touch only that shard, and reads merge all shards. Concurrent updates are
-// safe iff they use distinct lanes (the ParallelForLane contract); merged
+// Sharding follows the prediction-cache design: every metric owns one
+// cache-line-aligned shard per lane, updates name a lane and touch only that
+// shard, and reads merge all shards. Concurrent updates are safe iff they
+// use distinct lanes (the coordinator's shard s updates at lane s); merged
 // reads require quiescence (no in-flight updates), which every call site —
 // per-tick sampling, final export — satisfies by construction.
 //

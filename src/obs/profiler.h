@@ -19,8 +19,8 @@
 //
 // Determinism contract (pinned by tests/profiler_test): the *count* fields
 // — window ids, rounds per window, shard ids, phase names, and per-phase
-// counts — are bit-identical across pipeline_depth × shard_num_threads ×
-// ingest on/off, exactly like placed-pod sets and latency rows. The ns
+// counts — are bit-identical across pipeline_depth × ingest on/off and
+// repeated runs, exactly like placed-pod sets and latency rows. The ns
 // fields (total_ns/max_ns/barrier_ns/idle_ns) and the critical-path
 // *identity* (which shard/phase bounded a round) are wall-clock-derived and
 // excluded, mirroring the serve_wall_s carve-out.

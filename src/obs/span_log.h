@@ -11,8 +11,9 @@
 // The log is a JSONL stream: one header line carrying the optum.spans.v1
 // schema tag, then one line per transition. Only deterministic fields are
 // rendered (ticks, ids, counts, Eq. 11 scores) — never wall-clock readings —
-// so the byte stream is bit-identical across OptumConfig::num_threads
-// (tests/concurrency_test pins this). Wall-time phase latencies flow into
+// so the byte stream is bit-identical across runs, including when several
+// schedulers run concurrently (tests/concurrency_test pins this). Wall-time
+// phase latencies flow into
 // MetricRegistry histograms instead, where nondeterminism is expected.
 //
 // Concurrency contract (same as DecisionLog): Append runs on a serial path

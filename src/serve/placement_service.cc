@@ -14,7 +14,7 @@ namespace {
 
 // Per-pod residency stream: seeded by pod id alone, so a pod's departure
 // round is a pure function of (seed, id, placed_round) — identical across
-// shard counts, thread counts, and placement order.
+// shard counts and placement order.
 double ResidencyRounds(uint64_t seed, PodId id, double mean_rounds) {
   Rng rng(seed + 0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(id) + 1));
   return rng.Exponential(1.0 / mean_rounds);

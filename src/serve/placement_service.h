@@ -9,9 +9,10 @@
 // tick == one round, unlike the simulator's fixed 30 s ticks). Every
 // latency is derived from round arithmetic — placement latency of a pod is
 // (placed_round - submit_round) * round_seconds — so all exported rows are
-// bit-deterministic for a given config: independent of wall-clock, of
-// OptumConfig::num_threads inside the shards (scoring is bit-identical
-// across thread counts), and of the shard-histogram merge order.
+// bit-deterministic for a given config: independent of wall-clock, of how
+// the coordinator's shard lanes interleave (each shard decides on its own
+// crew lane against the same frozen snapshot), and of the shard-histogram
+// merge order.
 //
 // Each service round:
 //   1. arrivals  — the open-loop driver emits this round's pods; each is
@@ -171,7 +172,7 @@ class PlacementService {
   // every round the service feeds each host — in id order, on the serial
   // round loop — its request-based utilization, the shard-0 predictor's
   // resident-interference estimate (mean RI per LS/LSR pod, lane 0; key-pure
-  // caches keep it bit-identical across shard_num_threads), and the resident
+  // caches keep it independent of cache history), and the resident
   // class counts. serve.pressure.* / serve.slo.* gauges come from the
   // monitor's AttachSinks; the caller owns the monitor and calls Finalize()
   // on it after the last round.

@@ -12,11 +12,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/core/interference_predictor.h"
 #include "src/core/prediction_cache.h"
 #include "src/core/resource_usage_predictor.h"
@@ -122,6 +123,24 @@ TEST(PredictionCachePropertyTest, ClearKeepsCapacityAndForgetsKeys) {
   }
 }
 
+// Runs fn(lane, i) for every i in [0, n) with one thread per lane; lane
+// `lane` takes the indices congruent to it modulo num_lanes.
+void ForEachOnLaneThreads(size_t num_lanes, size_t n,
+                          const std::function<void(size_t, size_t)>& fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(num_lanes);
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    threads.emplace_back([&fn, num_lanes, n, lane] {
+      for (size_t i = lane; i < n; i += num_lanes) {
+        fn(lane, i);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+}
+
 // --- Lane-sharded predictor stress -------------------------------------------
 
 std::unique_ptr<ml::Regressor> TrainedLsModel() {
@@ -182,13 +201,13 @@ TEST(LaneShardedPredictorTest, ConcurrentLanesMatchSerialLaneZero) {
   // reproduce lane 0's serial answers exactly — and TSan must see no
   // cross-lane writes.
   InterferencePredictor sharded(&profiles);
-  ThreadPool pool(7);
-  sharded.set_num_lanes(pool.num_lanes());
-  ASSERT_EQ(sharded.num_lanes(), 8u);
+  constexpr size_t kLanes = 8;
+  sharded.set_num_lanes(kLanes);
+  ASSERT_EQ(sharded.num_lanes(), kLanes);
   std::vector<double> got(queries.size());
   std::vector<double> got_raw(queries.size());
   for (int round = 0; round < 2; ++round) {  // round 2 hits warm lane caches
-    pool.ParallelForLane(queries.size(), [&](size_t lane, size_t i) {
+    ForEachOnLaneThreads(kLanes, queries.size(), [&](size_t lane, size_t i) {
       got[i] = sharded.Predict(queries[i].app, queries[i].cpu, queries[i].mem, lane);
       got_raw[i] =
           sharded.PredictRaw(queries[i].app, queries[i].cpu, queries[i].mem, lane);
@@ -202,7 +221,7 @@ TEST(LaneShardedPredictorTest, ConcurrentLanesMatchSerialLaneZero) {
   // ClearCache drops every lane's shard, not just lane 0.
   sharded.ClearCache();
   EXPECT_EQ(sharded.cache_size(), 0u);
-  pool.ParallelForLane(queries.size(), [&](size_t lane, size_t i) {
+  ForEachOnLaneThreads(kLanes, queries.size(), [&](size_t lane, size_t i) {
     got[i] = sharded.Predict(queries[i].app, queries[i].cpu, queries[i].mem, lane);
   });
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -280,9 +299,9 @@ TEST(HostBaselineCacheStressTest, NoStaleHitSurvivesEpochOrVersionBumps) {
 }
 
 TEST(HostBaselineCacheStressTest, ParallelDistinctHostPredictionsAreSafe) {
-  // PlaceScored's contract: candidates are distinct hosts, so concurrent
-  // PredictHost calls touch distinct cache slots. Drive that pattern through
-  // a real pool (TSan-verifiable) and check values against serial rescans.
+  // PredictHost's contract: concurrent calls on distinct hosts touch
+  // distinct cache slots. Drive that pattern from several threads
+  // (TSan-verifiable) and check values against serial rescans.
   WorkloadConfig wconfig;
   wconfig.num_hosts = 64;
   wconfig.horizon = kTicksPerHour;
@@ -302,10 +321,8 @@ TEST(HostBaselineCacheStressTest, ParallelDistinctHostPredictionsAreSafe) {
   ResourceUsagePredictor predictor(&profiles);
   predictor.ReserveHosts(cluster.num_hosts());
   const PodSpec& probe = workload.pods.front();
-  ThreadPool pool(4);
   std::vector<Resources> predicted(cluster.num_hosts());
-  pool.ParallelForLane(cluster.num_hosts(), [&](size_t lane, size_t i) {
-    (void)lane;
+  ForEachOnLaneThreads(4, cluster.num_hosts(), [&](size_t, size_t i) {
     predicted[i] = predictor.PredictHost(cluster.host(static_cast<HostId>(i)), &probe);
   });
   for (size_t i = 0; i < cluster.num_hosts(); ++i) {

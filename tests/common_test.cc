@@ -162,6 +162,32 @@ TEST(TablePrinterTest, FormatDoubleCompact) {
   EXPECT_EQ(FormatDouble(0.5), "0.5");
   EXPECT_EQ(FormatDouble(1234.5678, 6), "1234.57");
   EXPECT_EQ(FormatDouble(0.000012, 2), "1.2e-05");
+  // Significant digits: a throughput at precision 1 loses all but one.
+  EXPECT_EQ(FormatDouble(20412.0, 1), "2e+04");
+}
+
+TEST(TablePrinterTest, FormatFixedKeepsThroughputDigits) {
+  EXPECT_EQ(FormatFixed(20412.0, 1), "20412.0");
+  EXPECT_EQ(FormatFixed(20412.34, 1), "20412.3");
+  EXPECT_EQ(FormatFixed(1.9996, 3), "2.000");
+  EXPECT_EQ(FormatFixed(0.0, 1), "0.0");
+  EXPECT_EQ(FormatFixed(2245.0, 1), "2245.0");
+
+  // The serve_bench summary rows render in fixed notation end to end.
+  TablePrinter table({"metric", "value"});
+  table.AddRow({std::string("placed_per_wall_s"), FormatFixed(20412.0, 1)});
+  table.AddRow({std::string("serve_wall_s"), FormatFixed(3.1415926, 3)});
+  char* buffer = nullptr;
+  size_t size = 0;
+  FILE* mem = open_memstream(&buffer, &size);
+  ASSERT_NE(mem, nullptr);
+  table.Print(mem);
+  std::fclose(mem);
+  const std::string out(buffer, size);
+  free(buffer);
+  EXPECT_NE(out.find("| placed_per_wall_s | 20412.0 |"), std::string::npos) << out;
+  EXPECT_NE(out.find("| serve_wall_s      | 3.142   |"), std::string::npos) << out;
+  EXPECT_EQ(out.find("e+"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -1,21 +1,24 @@
-// Thread-count invariance of Optum's candidate scoring: PlaceScored must
-// produce bit-identical placement decisions, node scores, and aggregate
-// cluster state for every OptumConfig::num_threads value. Parallel scoring
-// gives each thread-pool lane a private prediction-cache shard whose values
-// are pure functions of their keys, so lane assignment (and therefore
-// thread timing) can never leak into a score — these tests prove it at the
-// scheduler level on a >= 1,000-host cluster and end-to-end through the
-// simulator. Run them under the `tsan` preset (tools/sanitize_runner.sh) to
-// also prove the absence of data races, not just of nondeterminism.
+// Thread-count invariance of Optum's scheduling. The §4.4 coordinator runs
+// one scheduler per shard on its own thread, all built from one profile set
+// and reading one cluster; a scheduler must therefore decide exactly as it
+// would alone, however many others run beside it. These tests run 1, 2 and
+// 8 copies of a placement stream at once on a >= 1,000-host cluster and
+// require bit-identical decisions, Eq. 11 scores, metrics, decision logs,
+// span bytes and cluster state against a lone serial run; end to end, a
+// full simulation with Optum is bit-identical across the simulator's own
+// SimConfig::num_threads. Run them under the `tsan` preset
+// (tools/sanitize_runner.sh) to also prove the absence of data races, not
+// just of nondeterminism.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/core/offline_profiler.h"
 #include "src/core/optum_scheduler.h"
 #include "src/obs/decision_log.h"
@@ -56,6 +59,20 @@ OptumProfiles TrainProfiles(const Workload& workload, const SimConfig& sim_confi
   return core::OfflineProfiler(prof).BuildProfiles(ref.trace);
 }
 
+// Runs body(i) for every i in [0, n) on n threads at once.
+void RunOnThreads(size_t n, const std::function<void(size_t)>& body) {
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    threads.emplace_back(body, i);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+}
+
+constexpr size_t kThreadCounts[] = {1, 2, 8};
+
 // --- Scheduler-level thread-count invariance ---------------------------------
 
 // Everything a placement stream can observably produce: the decision and
@@ -77,7 +94,7 @@ struct StreamResult {
 StreamResult StreamPlacements(const OptumProfiles& profiles,
                               const std::vector<const AppProfile*>& catalog,
                               int num_hosts, int prefill_per_host, int stream,
-                              size_t num_threads, ScoreMode score_mode,
+                              ScoreMode score_mode,
                               obs::MetricRegistry* registry = nullptr,
                               obs::DecisionLog* decision_log = nullptr,
                               obs::SpanLog* span_log = nullptr) {
@@ -93,7 +110,6 @@ StreamResult StreamPlacements(const OptumProfiles& profiles,
   }
 
   OptumConfig config;
-  config.num_threads = num_threads;
   config.score_mode = score_mode;
   OptumScheduler scheduler(profiles, config);
   obs::Sinks sinks;
@@ -138,10 +154,10 @@ void ExpectIdenticalStreams(const StreamResult& a, const StreamResult& b,
   ASSERT_EQ(a.hosts.size(), b.hosts.size());
   for (size_t i = 0; i < a.hosts.size(); ++i) {
     ASSERT_EQ(a.hosts[i], b.hosts[i])
-        << "placement diverged at pod " << i << " with num_threads=" << num_threads;
+        << "placement diverged at pod " << i << " with " << num_threads << " threads";
     ASSERT_EQ(a.reasons[i], b.reasons[i]) << "at pod " << i;
     ASSERT_EQ(a.scores[i], b.scores[i])
-        << "score diverged at pod " << i << " with num_threads=" << num_threads;
+        << "score diverged at pod " << i << " with " << num_threads << " threads";
   }
   ASSERT_EQ(a.pods_per_host, b.pods_per_host);
   ASSERT_EQ(a.request_cpu_per_host, b.request_cpu_per_host);
@@ -153,8 +169,7 @@ class ThreadCountInvarianceTest : public ::testing::TestWithParam<ScoreMode> {};
 TEST_P(ThreadCountInvarianceTest, PlaceScoredBitIdenticalAcrossThreadCounts) {
   const ScoreMode score_mode = GetParam();
   // Profiles train on a small reference run; the scoring cluster is
-  // paper-scale-ish (>= 1,000 hosts) so the parallel path really engages
-  // (candidates per pod = 0.05 * 1200 = 60 >= 2 * num_threads).
+  // paper-scale-ish (>= 1,000 hosts, 60 candidates per pod).
   const Workload workload = MakeWorkload(64, 3 * kTicksPerHour, 23);
   const SimConfig sim_config = MakeSimConfig();
   const OptumProfiles profiles = TrainProfiles(workload, sim_config);
@@ -165,8 +180,7 @@ TEST_P(ThreadCountInvarianceTest, PlaceScoredBitIdenticalAcrossThreadCounts) {
   constexpr int kPrefillPerHost = 4;
   constexpr int kStream = 400;
   const StreamResult serial = StreamPlacements(profiles, catalog, kHosts,
-                                               kPrefillPerHost, kStream,
-                                               /*num_threads=*/0, score_mode);
+                                               kPrefillPerHost, kStream, score_mode);
   // The stream must actually schedule for the equivalence to mean anything.
   size_t placed = 0;
   for (HostId h : serial.hosts) {
@@ -174,11 +188,15 @@ TEST_P(ThreadCountInvarianceTest, PlaceScoredBitIdenticalAcrossThreadCounts) {
   }
   ASSERT_GT(placed, static_cast<size_t>(kStream) / 2);
 
-  for (const size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    const StreamResult threaded = StreamPlacements(profiles, catalog, kHosts,
-                                                   kPrefillPerHost, kStream,
-                                                   num_threads, score_mode);
-    ExpectIdenticalStreams(serial, threaded, num_threads);
+  for (const size_t num_threads : kThreadCounts) {
+    std::vector<StreamResult> threaded(num_threads);
+    RunOnThreads(num_threads, [&](size_t t) {
+      threaded[t] = StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost,
+                                     kStream, score_mode);
+    });
+    for (const StreamResult& r : threaded) {
+      ExpectIdenticalStreams(serial, r, num_threads);
+    }
   }
 }
 
@@ -188,10 +206,10 @@ INSTANTIATE_TEST_SUITE_P(BothScoreModes, ThreadCountInvarianceTest,
 
 // Attaching the full observability stack — registry counters/timers,
 // predictor-cache gauges, and the per-placement decision log — must not
-// perturb a single placement or score: metric updates never feed back into
-// Eq. 11, and the decision log is rendered on the serial reduction path.
-// Baseline is metrics-OFF serial, so the test catches observer effects in
-// both the serial and the parallel scoring paths.
+// perturb a single placement or score, alone or with other observed
+// schedulers running at once: metric updates never feed back into Eq. 11,
+// and the decision log is rendered on the reduction path. Baseline is a
+// lone metrics-OFF run.
 TEST(ThreadCountInvarianceTest, MetricsOnBitIdenticalAcrossThreadCounts) {
   const Workload workload = MakeWorkload(64, 3 * kTicksPerHour, 23);
   const SimConfig sim_config = MakeSimConfig();
@@ -203,37 +221,51 @@ TEST(ThreadCountInvarianceTest, MetricsOnBitIdenticalAcrossThreadCounts) {
   constexpr int kPrefillPerHost = 4;
   constexpr int kStream = 400;
   const StreamResult bare = StreamPlacements(profiles, catalog, kHosts,
-                                             kPrefillPerHost, kStream,
-                                             /*num_threads=*/0, ScoreMode::kMarginal);
+                                             kPrefillPerHost, kStream, ScoreMode::kMarginal);
   size_t placed = 0;
   for (HostId h : bare.hosts) {
     placed += h != kInvalidHostId ? 1 : 0;
   }
   ASSERT_GT(placed, static_cast<size_t>(kStream) / 2);
 
-  const std::string log_path = ::testing::TempDir() + "/concurrency_decisions.jsonl";
-  for (const size_t num_threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    obs::MetricRegistry registry;
-    obs::DecisionLog decision_log(log_path);
-    ASSERT_TRUE(decision_log.ok());
-    const StreamResult observed =
-        StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost, kStream,
-                         num_threads, ScoreMode::kMarginal, &registry, &decision_log);
-    ExpectIdenticalStreams(bare, observed, num_threads);
-    // The instrumentation must have actually been live, not silently off.
-    EXPECT_EQ(registry.counter("optum.placements")->Value(), placed)
-        << "num_threads=" << num_threads;
-    EXPECT_EQ(registry.counter("optum.rejections")->Value(), kStream - placed);
-    EXPECT_EQ(registry.histogram("optum.sample_seconds")->Count(),
-              static_cast<uint64_t>(kStream));
-    EXPECT_EQ(decision_log.records_written(), kStream);
+  for (const size_t num_threads : kThreadCounts) {
+    std::vector<std::string> log_paths;
+    std::vector<std::unique_ptr<obs::MetricRegistry>> registries;
+    std::vector<std::unique_ptr<obs::DecisionLog>> decision_logs;
+    for (size_t t = 0; t < num_threads; ++t) {
+      log_paths.push_back(::testing::TempDir() + "/concurrency_decisions_" +
+                          std::to_string(t) + ".jsonl");
+      registries.push_back(std::make_unique<obs::MetricRegistry>());
+      decision_logs.push_back(std::make_unique<obs::DecisionLog>(log_paths.back()));
+      ASSERT_TRUE(decision_logs.back()->ok());
+    }
+    std::vector<StreamResult> observed(num_threads);
+    RunOnThreads(num_threads, [&](size_t t) {
+      observed[t] = StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost,
+                                     kStream, ScoreMode::kMarginal,
+                                     registries[t].get(), decision_logs[t].get());
+    });
+    for (size_t t = 0; t < num_threads; ++t) {
+      ExpectIdenticalStreams(bare, observed[t], num_threads);
+      // The instrumentation must have actually been live, not silently off.
+      obs::MetricRegistry& registry = *registries[t];
+      EXPECT_EQ(registry.counter("optum.placements")->Value(), placed)
+          << num_threads << " threads";
+      EXPECT_EQ(registry.counter("optum.rejections")->Value(), kStream - placed);
+      EXPECT_EQ(registry.histogram("optum.sample_seconds")->Count(),
+                static_cast<uint64_t>(kStream));
+      EXPECT_EQ(decision_logs[t]->records_written(), kStream);
+    }
+    decision_logs.clear();
+    for (const std::string& path : log_paths) {
+      std::remove(path.c_str());
+    }
   }
-  std::remove(log_path.c_str());
 }
 
-// The span log renders on the serial reduction path from deterministic
-// fields only (ticks, ids, counts, scores — never wall clock), so the JSONL
-// byte stream must be identical for every thread count. This is the
+// The span log renders on the reduction path from deterministic fields only
+// (ticks, ids, counts, scores — never wall clock), so the JSONL byte stream
+// must be identical however many schedulers run at once. This is the
 // load-bearing guarantee that makes span files diffable across runs.
 TEST(ThreadCountInvarianceTest, SpanLogBitIdenticalAcrossThreadCounts) {
   const Workload workload = MakeWorkload(64, 3 * kTicksPerHour, 23);
@@ -260,29 +292,38 @@ TEST(ThreadCountInvarianceTest, SpanLogBitIdenticalAcrossThreadCounts) {
     return contents;
   };
 
-  std::string baseline_bytes;
-  for (const size_t num_threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    const std::string path = ::testing::TempDir() + "/concurrency_spans_" +
-                             std::to_string(num_threads) + ".jsonl";
-    {
-      obs::SpanLog span_log(path);
-      ASSERT_TRUE(span_log.ok());
-      StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost, kStream,
-                       num_threads, ScoreMode::kMarginal, /*registry=*/nullptr,
-                       /*decision_log=*/nullptr, &span_log);
-      // Two spans per PlaceScored call: sampled + scored.
-      EXPECT_EQ(span_log.records_written(), 2 * kStream);
-    }
-    const std::string bytes = read_file(path);
-    std::remove(path.c_str());
-    ASSERT_FALSE(bytes.empty());
-    if (num_threads == 0) {
-      baseline_bytes = bytes;
-      // Sanity: the stream starts with the schema header line.
-      EXPECT_EQ(bytes.rfind(obs::SpanLog::RenderHeader() + "\n", 0), 0u);
-    } else {
+  const auto spans_path = [](const std::string& tag) {
+    return ::testing::TempDir() + "/concurrency_spans_" + tag + ".jsonl";
+  };
+  // Two spans per PlaceScored call: sampled + scored.
+  const auto stream_spans = [&](const std::string& path) {
+    obs::SpanLog span_log(path);
+    EXPECT_TRUE(span_log.ok());
+    StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost, kStream,
+                     ScoreMode::kMarginal, /*registry=*/nullptr,
+                     /*decision_log=*/nullptr, &span_log);
+    EXPECT_EQ(span_log.records_written(), 2 * kStream);
+  };
+
+  const std::string baseline_path = spans_path("serial");
+  stream_spans(baseline_path);
+  const std::string baseline_bytes = read_file(baseline_path);
+  std::remove(baseline_path.c_str());
+  ASSERT_FALSE(baseline_bytes.empty());
+  // Sanity: the stream starts with the schema header line.
+  EXPECT_EQ(baseline_bytes.rfind(obs::SpanLog::RenderHeader() + "\n", 0), 0u);
+
+  for (const size_t num_threads : kThreadCounts) {
+    RunOnThreads(num_threads, [&](size_t t) {
+      stream_spans(spans_path(std::to_string(num_threads) + "_" + std::to_string(t)));
+    });
+    for (size_t t = 0; t < num_threads; ++t) {
+      const std::string path =
+          spans_path(std::to_string(num_threads) + "_" + std::to_string(t));
+      const std::string bytes = read_file(path);
+      std::remove(path.c_str());
       ASSERT_EQ(bytes, baseline_bytes)
-          << "span stream diverged with num_threads=" << num_threads;
+          << "span stream " << t << " diverged with " << num_threads << " threads";
     }
   }
 }
@@ -290,13 +331,12 @@ TEST(ThreadCountInvarianceTest, SpanLogBitIdenticalAcrossThreadCounts) {
 // --- End-to-end simulator equivalence ----------------------------------------
 
 SimResult RunOptum(const Workload& workload, const SimConfig& sim_config,
-                   OptumProfiles profiles, size_t num_threads) {
-  OptumConfig optum_config;
-  optum_config.num_threads = num_threads;
-  OptumScheduler optum(std::move(profiles), optum_config);
+                   OptumProfiles profiles, size_t sim_threads) {
+  OptumScheduler optum(std::move(profiles));
   SimConfig config = sim_config;
+  config.num_threads = sim_threads;
   // Online ERO observation churns EroTable::version mid-run, so the test
-  // also covers cache invalidation while worker lanes are alive.
+  // also covers cache invalidation while the tick's worker threads are alive.
   config.on_tick_end = [&optum](const ClusterState& cluster, Tick now) {
     optum.ObserveColocation(cluster, now);
   };
@@ -318,7 +358,7 @@ TEST(ThreadCountInvarianceTest, FullSimulationMatchesSerial) {
       ASSERT_EQ(serial.trace.pods[i].original_machine_id,
                 threaded.trace.pods[i].original_machine_id)
           << "placement diverged at decision " << i
-          << " with num_threads=" << num_threads;
+          << " with SimConfig::num_threads=" << num_threads;
     }
     EXPECT_EQ(serial.scheduled_pods, threaded.scheduled_pods);
     EXPECT_EQ(serial.never_scheduled_pods, threaded.never_scheduled_pods);
@@ -329,62 +369,6 @@ TEST(ThreadCountInvarianceTest, FullSimulationMatchesSerial) {
     EXPECT_EQ(serial.MeanCpuUtilNonIdle(), threaded.MeanCpuUtilNonIdle());
     EXPECT_EQ(serial.MeanMemUtilNonIdle(), threaded.MeanMemUtilNonIdle());
   }
-}
-
-// --- ThreadPool lane contract -------------------------------------------------
-
-TEST(ParallelForLaneTest, CoversEveryIndexOnceWithValidLanes) {
-  ThreadPool pool(3);
-  ASSERT_EQ(pool.num_lanes(), 4u);
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<int>> visits(kN);
-  std::vector<std::atomic<int>> lane_hits(pool.num_lanes());
-  pool.ParallelForLane(kN, [&](size_t lane, size_t i) {
-    ASSERT_LT(lane, pool.num_lanes());
-    visits[i].fetch_add(1);
-    lane_hits[lane].fetch_add(1);
-  });
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-  // Every claimed index was charged to some valid lane. (Lane 0 — the
-  // calling thread — offers to work but may find the range already drained
-  // by workers, so no single lane is guaranteed a nonzero share.)
-  uint64_t total_hits = 0;
-  for (size_t lane = 0; lane < pool.num_lanes(); ++lane) {
-    total_hits += static_cast<uint64_t>(lane_hits[lane].load());
-  }
-  EXPECT_EQ(total_hits, kN);
-}
-
-TEST(ParallelForLaneTest, LaneLocalStateNeverShared) {
-  // Each lane owns one slot; concurrent shard bodies may only ever touch
-  // their own slot. A TSan run turns any violation into a hard error; the
-  // unsynchronized counters below would also go inconsistent under races.
-  ThreadPool pool(4);
-  std::vector<uint64_t> per_lane_counts(pool.num_lanes(), 0);
-  constexpr size_t kN = 50000;
-  pool.ParallelForLane(kN, [&](size_t lane, size_t i) {
-    (void)i;
-    ++per_lane_counts[lane];  // no atomics: correctness relies on lane privacy
-  });
-  uint64_t total = 0;
-  for (uint64_t c : per_lane_counts) {
-    total += c;
-  }
-  EXPECT_EQ(total, kN);
-}
-
-TEST(ParallelForLaneTest, EmptyAndSmallRanges) {
-  ThreadPool pool(2);
-  pool.ParallelForLane(0, [&](size_t, size_t) { FAIL() << "n == 0 must not call fn"; });
-  std::vector<std::atomic<int>> visits(2);
-  pool.ParallelForLane(2, [&](size_t lane, size_t i) {
-    ASSERT_LT(lane, 2u);  // shards = min(n, lanes) caps the lane ids
-    visits[i].fetch_add(1);
-  });
-  EXPECT_EQ(visits[0].load(), 1);
-  EXPECT_EQ(visits[1].load(), 1);
 }
 
 }  // namespace

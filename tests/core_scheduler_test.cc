@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "src/core/deployment.h"
 #include "src/core/interference_predictor.h"
@@ -235,19 +236,23 @@ TEST_F(OptumSchedulerTest, AffinityHonored) {
   EXPECT_FALSE(d.placed());
 }
 
+// Two schedulers scoring the same cluster at once, as the coordinator's
+// shard lanes do, decide exactly as one scheduler scoring alone.
 TEST_F(OptumSchedulerTest, MultithreadedScoringMatchesSequential) {
-  OptumConfig seq = FullScanConfig();
-  OptumConfig par = FullScanConfig();
-  par.num_threads = 2;
-  par.min_candidates = 4;
-  OptumScheduler s1(MakeProfiles(), seq);
-  OptumScheduler s2(MakeProfiles(), par);
+  OptumScheduler s1(MakeProfiles(), FullScanConfig());
+  OptumScheduler s2(MakeProfiles(), FullScanConfig());
+  OptumScheduler alone(MakeProfiles(), FullScanConfig());
   cluster_.Place(MakePodSpec(10, ls_app_), &ls_app_, 1, 0);
   cluster_.Place(MakePodSpec(11, ls_app_), &ls_app_, 1, 0);
   cluster_.Place(MakePodSpec(12, be_app_), &be_app_, 3, 0);
+  const PlacementDecision expected =
+      alone.Place(MakePodSpec(1, be_app_), be_app_, cluster_);
+  PlacementDecision d2;
+  std::thread other([&] { d2 = s2.Place(MakePodSpec(1, be_app_), be_app_, cluster_); });
   const PlacementDecision d1 = s1.Place(MakePodSpec(1, be_app_), be_app_, cluster_);
-  const PlacementDecision d2 = s2.Place(MakePodSpec(1, be_app_), be_app_, cluster_);
-  EXPECT_EQ(d1.host, d2.host);
+  other.join();
+  EXPECT_EQ(d1.host, expected.host);
+  EXPECT_EQ(d2.host, expected.host);
 }
 
 TEST_F(OptumSchedulerTest, PaperAbsoluteModeAlsoPlaces) {

@@ -8,9 +8,9 @@
 //   * SLO tick conservation (compliant + violation == observed) and
 //     merge-order invariance, byte-equal through RenderJson;
 //   * golden optum.hotspot.v1 / optum.slo.v1 renders;
-//   * serve-layer integration — hotspot and SLO exports bit-identical
-//     across DistributedConfig::shard_num_threads, storms produce episodes,
-//     a calm run produces none;
+//   * serve-layer integration — hotspot and SLO exports pinned to goldens
+//     across pipeline depth × ingest mode, storms produce episodes, a calm
+//     run produces none;
 //   * burst overlay determinism (pure function of the round, equal configs
 //     replay identical streams, disabled by default).
 //
@@ -31,6 +31,7 @@
 #include "src/serve/placement_service.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload_generator.h"
+#include "tests/golden_digest.h"
 
 namespace optum {
 namespace {
@@ -436,9 +437,9 @@ struct StormRun {
 
 // One stormy overloaded run against a small cluster: arrivals outpace the
 // service during the bursts, request utilization saturates, and hotspot
-// episodes appear. `threads` is the shard worker pool whose size must not
-// leak into any exported byte.
-StormRun RunStorm(size_t threads) {
+// episodes appear. Neither pipelining nor threaded ingest may leak into any
+// exported byte.
+StormRun RunStorm(size_t pipeline_depth, size_t ingest_threads) {
   const ServeWorld& world = World();
   serve::ServeConfig config;
   config.arrival.offered_pods_per_sec = 150.0;
@@ -447,7 +448,8 @@ StormRun RunStorm(size_t threads) {
   config.arrival.burst_duration_rounds = 6;
   config.arrival.burst_interval_rounds = 15;
   config.distributed.num_schedulers = 2;
-  config.distributed.shard_num_threads = threads;
+  config.pipeline_depth = pipeline_depth;
+  config.ingest_threads = ingest_threads;
   config.queue_capacity_per_shard = 4096;
   config.max_schedule_per_round = 256;
   config.mean_residency_rounds = 0.0;  // pods stay: pressure builds
@@ -461,7 +463,8 @@ StormRun RunStorm(size_t threads) {
   options.seconds_per_tick = config.arrival.round_seconds;
   HostPressureMonitor monitor(40, options);
   const std::string path = ::testing::TempDir() + "/storm_hotspots_" +
-                           std::to_string(threads) + ".jsonl";
+                           std::to_string(pipeline_depth) + "_" +
+                           std::to_string(ingest_threads) + ".jsonl";
   StormRun run;
   {
     HotspotLog log(path);
@@ -482,26 +485,41 @@ StormRun RunStorm(size_t threads) {
   return run;
 }
 
-TEST(ServePressureTest, StormExportsBitIdenticalAcrossShardThreadCounts) {
-  StormRun reference;
-  bool first = true;
-  for (const size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    StormRun run = RunStorm(threads);
-    if (first) {
-      reference = run;
-      first = false;
-      EXPECT_GT(run.placed, 0);
-      // The storm must actually produce hotspot episodes — otherwise the
-      // bit-identity assertions compare empty streams.
-      EXPECT_GT(run.episodes, 0);
-      EXPECT_NE(run.slo_json.find("\"violation_ticks\""), std::string::npos);
-    } else {
-      EXPECT_EQ(run.hotspot_bytes, reference.hotspot_bytes)
-          << "threads=" << threads;
-      EXPECT_EQ(run.slo_json, reference.slo_json) << "threads=" << threads;
-      EXPECT_EQ(run.episodes, reference.episodes) << "threads=" << threads;
+// Goldens for RunStorm, recorded from the task-queue coordinator with
+// intra-shard scoring threads 0, 1, 2 and 8 (all four agreed). The hotspot
+// stream is pinned by size and FNV-1a digest.
+constexpr size_t kGoldenHotspotSize = 5731;
+constexpr uint64_t kGoldenHotspotDigest = 5970851562297582022ULL;
+constexpr char kGoldenStormSlo[] =
+    R"({"schema":"optum.slo.v1","seconds_per_tick":1,"classes":[)"
+    R"({"class":"BE","observed_ticks":374002,"violation_ticks":363699,)"
+    R"("observed_seconds":374002,"violation_seconds":363699},)"
+    R"({"class":"LS","observed_ticks":194102,"violation_ticks":186911,)"
+    R"("observed_seconds":194102,"violation_seconds":186911},)"
+    R"({"class":"LSR","observed_ticks":56653,"violation_ticks":54596,)"
+    R"("observed_seconds":56653,"violation_seconds":54596}]})";
+constexpr int64_t kGoldenEpisodes = 38;
+constexpr int64_t kGoldenPlaced = 2128;
+
+TEST(ServePressureTest, StormExportsMatchGoldensAcrossPipelineMatrix) {
+  StormRun last;
+  for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (const size_t ingest : {size_t{0}, size_t{1}}) {
+      SCOPED_TRACE("depth=" + std::to_string(depth) +
+                   " ingest=" + std::to_string(ingest));
+      last = RunStorm(depth, ingest);
+      EXPECT_EQ(last.hotspot_bytes.size(), kGoldenHotspotSize);
+      EXPECT_EQ(testing_golden::Fnv1a64(last.hotspot_bytes), kGoldenHotspotDigest);
+      EXPECT_EQ(last.slo_json, kGoldenStormSlo);
+      EXPECT_EQ(last.episodes, kGoldenEpisodes);
+      EXPECT_EQ(last.placed, kGoldenPlaced);
     }
   }
+  // Same-process repeat: a second identical storm exports the same bytes.
+  const StormRun again = RunStorm(3, 1);
+  EXPECT_EQ(again.hotspot_bytes, last.hotspot_bytes);
+  EXPECT_EQ(again.slo_json, last.slo_json);
+  EXPECT_EQ(again.episodes, last.episodes);
 }
 
 // --- Simulator-layer storm acceptance --------------------------------------

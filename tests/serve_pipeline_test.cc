@@ -2,9 +2,9 @@
 // speculative shard scoring against an epoch-snapshotted host view plus the
 // multi-threaded ingest hand-off — must be a pure wall-clock optimization.
 // These tests pin the contract: optum.latency.v1 rows, placed-pod sets,
-// admission accounting, serve counters, and SLO-violation accounting are
-// bit-identical across every {pipeline_depth} × {shard_num_threads} ×
-// {ingest_threads} combination; the admission queue survives genuinely
+// admission accounting, serve counters, and SLO-violation accounting match
+// recorded goldens for every {pipeline_depth} × {ingest_threads}
+// combination and across repeated runs; the admission queue survives genuinely
 // concurrent offers; and a speculative score finalized after cluster
 // mutation equals a fresh PlaceScored. Labeled `concurrency` so the suite
 // also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
@@ -26,6 +26,7 @@
 #include "src/serve/placement_service.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload_generator.h"
+#include "tests/golden_digest.h"
 
 namespace optum {
 namespace {
@@ -77,15 +78,13 @@ struct RunResult {
 // One service run in a mild-overload regime with departures, so requeues,
 // waits, epoch churn, and SLO violations all occur — the paths speculation
 // has to get right.
-RunResult RunPipelined(size_t pipeline_depth, size_t shard_threads,
-                       size_t ingest_threads) {
+RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads) {
   const ServeWorld& world = World();
   serve::ServeConfig config;
   config.arrival.offered_pods_per_sec = 120.0;
   config.arrival.round_seconds = 1.0;
   config.distributed.num_schedulers = 2;
   config.distributed.max_attempts_per_pod = 8;
-  config.distributed.shard_num_threads = shard_threads;
   config.queue_capacity_per_shard = 1024;
   config.max_schedule_per_round = 48;  // mild overload: nonzero waits
   config.max_requeues = 8;
@@ -120,46 +119,80 @@ RunResult RunPipelined(size_t pipeline_depth, size_t shard_threads,
   return out;
 }
 
-// The tentpole invariant: the serial depth-1 single-threaded inline-ingest
-// loop and every pipelined/threaded variant export the same bytes.
+// Goldens for RunPipelined, recorded from the task-queue coordinator with
+// intra-shard scoring threads 0, 1, 2 and 8 across this same matrix (every
+// combination agreed).
+constexpr char kGoldenRow[] =
+    R"({"hosts":300,"shards":2,"offered_pods_per_sec":120,"process":"poisson",)"
+    R"("rounds":25,"round_seconds":1,"arrivals":1184,"admitted":1184,)"
+    R"("rejected_full":0,"placed":1184,"dropped":0,"conflicts":28,)"
+    R"("latency_s_p50":6.870325498,"latency_s_p99":14.99705894,)"
+    R"("latency_s_p999":14.99705894,"latency_s_max":15,)"
+    R"("latency_s_mean":7.379222973})";
+constexpr char kGoldenSlo[] =
+    R"({"schema":"optum.slo.v1","seconds_per_tick":1,"classes":[)"
+    R"({"class":"BE","observed_ticks":5074,"violation_ticks":2245,)"
+    R"("observed_seconds":5074,"violation_seconds":2245},)"
+    R"({"class":"LS","observed_ticks":2881,"violation_ticks":1244,)"
+    R"("observed_seconds":2881,"violation_seconds":1244},)"
+    R"({"class":"LSR","observed_ticks":837,"violation_ticks":427,)"
+    R"("observed_seconds":837,"violation_seconds":427}]})";
+constexpr size_t kGoldenPlacedCount = 1184;
+constexpr uint64_t kGoldenPlacedDigest = 11355238919070054595ULL;
+
+void ExpectGoldens(const RunResult& r) {
+  EXPECT_EQ(r.row, kGoldenRow);
+  EXPECT_EQ(r.slo_json, kGoldenSlo);
+  EXPECT_EQ(r.placed.size(), kGoldenPlacedCount);
+  EXPECT_EQ(testing_golden::PlacedSetDigest(r.placed), kGoldenPlacedDigest);
+  EXPECT_EQ(r.counters.placed, 1184);
+  EXPECT_EQ(r.counters.dropped, 0);
+  EXPECT_EQ(r.counters.departed, 696);
+  EXPECT_EQ(r.counters.conflicts, 28);
+  EXPECT_EQ(r.counters.rounds, 25);
+  EXPECT_EQ(r.counters.schedule_rounds, 616);
+  EXPECT_EQ(r.stats.requeued, 0);
+  EXPECT_EQ(r.stats.peak_depth, 752u);
+}
+
+void ExpectSameRun(const RunResult& r, const RunResult& base) {
+  EXPECT_EQ(r.row, base.row);
+  EXPECT_EQ(r.placed, base.placed);
+  EXPECT_EQ(r.slo_json, base.slo_json);
+  EXPECT_EQ(r.stats.offered, base.stats.offered);
+  EXPECT_EQ(r.stats.admitted, base.stats.admitted);
+  EXPECT_EQ(r.stats.rejected_full, base.stats.rejected_full);
+  EXPECT_EQ(r.stats.requeued, base.stats.requeued);
+  EXPECT_EQ(r.stats.peak_depth, base.stats.peak_depth);
+  EXPECT_EQ(r.counters.rounds, base.counters.rounds);
+  EXPECT_EQ(r.counters.arrivals, base.counters.arrivals);
+  EXPECT_EQ(r.counters.placed, base.counters.placed);
+  EXPECT_EQ(r.counters.dropped, base.counters.dropped);
+  EXPECT_EQ(r.counters.departed, base.counters.departed);
+  EXPECT_EQ(r.counters.conflicts, base.counters.conflicts);
+  EXPECT_EQ(r.counters.schedule_rounds, base.counters.schedule_rounds);
+}
+
+// The tentpole invariant: the depth-1 inline-ingest loop and every
+// pipelined/threaded variant export the goldens' bytes.
 TEST(PipelinedServeTest, RowsPlacedSetsAndSloBitIdenticalAcrossMatrix) {
   const RunResult base = RunPipelined(/*pipeline_depth=*/1,
-                                      /*shard_threads=*/0,
                                       /*ingest_threads=*/0);
-  EXPECT_GT(base.counters.placed, 0);
-  EXPECT_GT(base.counters.departed, 0);
+  ExpectGoldens(base);
   EXPECT_GT(base.counters.conflicts, 0);
   EXPECT_EQ(base.memo_hits, 0u);  // depth 1 never touches the memo
 
   uint64_t pipelined_memo_hits = 0;
-  constexpr size_t kThreads[] = {0, 1, 2, 8};
   for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
-    for (size_t t = 0; t < 4; ++t) {
-      const size_t threads = kThreads[t];
-      const size_t ingest = t % 2;  // alternate inline / producer ingest
-      if (depth == 1 && threads == 0 && ingest == 0) {
+    for (const size_t ingest : {size_t{0}, size_t{1}}) {
+      if (depth == 1 && ingest == 0) {
         continue;  // the baseline itself
       }
-      const RunResult r = RunPipelined(depth, threads, ingest);
-      const std::string label = "depth=" + std::to_string(depth) +
-                                " threads=" + std::to_string(threads) +
-                                " ingest=" + std::to_string(ingest);
-      EXPECT_EQ(r.row, base.row) << label;
-      EXPECT_EQ(r.placed, base.placed) << label;
-      EXPECT_EQ(r.slo_json, base.slo_json) << label;
-      EXPECT_EQ(r.stats.offered, base.stats.offered) << label;
-      EXPECT_EQ(r.stats.admitted, base.stats.admitted) << label;
-      EXPECT_EQ(r.stats.rejected_full, base.stats.rejected_full) << label;
-      EXPECT_EQ(r.stats.requeued, base.stats.requeued) << label;
-      EXPECT_EQ(r.stats.peak_depth, base.stats.peak_depth) << label;
-      EXPECT_EQ(r.counters.rounds, base.counters.rounds) << label;
-      EXPECT_EQ(r.counters.arrivals, base.counters.arrivals) << label;
-      EXPECT_EQ(r.counters.placed, base.counters.placed) << label;
-      EXPECT_EQ(r.counters.dropped, base.counters.dropped) << label;
-      EXPECT_EQ(r.counters.departed, base.counters.departed) << label;
-      EXPECT_EQ(r.counters.conflicts, base.counters.conflicts) << label;
-      EXPECT_EQ(r.counters.schedule_rounds, base.counters.schedule_rounds)
-          << label;
+      SCOPED_TRACE("depth=" + std::to_string(depth) +
+                   " ingest=" + std::to_string(ingest));
+      const RunResult r = RunPipelined(depth, ingest);
+      ExpectGoldens(r);
+      ExpectSameRun(r, base);
       if (depth > 1) {
         pipelined_memo_hits += r.memo_hits;
       }
@@ -168,13 +201,20 @@ TEST(PipelinedServeTest, RowsPlacedSetsAndSloBitIdenticalAcrossMatrix) {
   // The pipeline must actually be working, not silently degrading to the
   // serial path: speculative rounds reuse memoized evaluations.
   EXPECT_GT(pipelined_memo_hits, 0u);
+
+  // Same-process repeat: a second identical service exports the same
+  // bytes and the same memo traffic.
+  const RunResult first = RunPipelined(2, 1);
+  const RunResult repeat = RunPipelined(2, 1);
+  ExpectSameRun(repeat, first);
+  EXPECT_EQ(repeat.memo_hits, first.memo_hits);
 }
 
 // A shard with a decision log attached declines to speculate (per-candidate
 // cache-miss tagging would be skewed by the memo) but must stay
 // bit-identical through the coordinator's PlaceScored fallback.
 TEST(PipelinedServeTest, DecisionLogShardFallsBackBitIdentically) {
-  const RunResult base = RunPipelined(1, 0, 0);
+  const RunResult base = RunPipelined(1, 0);
 
   const ServeWorld& world = World();
   serve::ServeConfig config;

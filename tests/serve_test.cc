@@ -1,9 +1,10 @@
 // End-to-end tests for the open-loop placement service (src/serve,
 // DESIGN.md §12): deterministic open-loop replay, bounded-admission
 // backpressure accounting, shutdown-drains-the-queue semantics, and the two
-// invariances the serve layer exports rows under — latency rows bit-identical
-// across DistributedConfig::shard_num_threads, and placed-pod sets stable
-// across scheduler shard counts. Labeled `concurrency` so the whole suite
+// invariances the serve layer exports rows under — latency rows and placed
+// sets pinned to goldens across pipeline depth × ingest mode and repeated
+// runs, and placed-pod sets stable across scheduler shard counts. Labeled
+// `concurrency` so the whole suite
 // also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "src/serve/placement_service.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload_generator.h"
+#include "tests/golden_digest.h"
 
 namespace optum {
 namespace {
@@ -284,33 +286,57 @@ TEST(PlacementServiceTest, ShutdownDrainsQueueAndBalancesAccounting) {
   }
 }
 
-TEST(PlacementServiceTest, LatencyRowsBitIdenticalAcrossShardThreadCounts) {
+// Goldens for the mild-overload run below, recorded from the task-queue
+// coordinator with intra-shard scoring threads 0, 1, 2 and 8 (all four
+// agreed). The shard crew must reproduce them for every pipeline depth and
+// ingest mode.
+constexpr char kGoldenRow[] =
+    R"({"hosts":300,"shards":2,"offered_pods_per_sec":120,"process":"poisson",)"
+    R"("rounds":25,"round_seconds":1,"arrivals":1184,"admitted":1184,)"
+    R"("rejected_full":0,"placed":1184,"dropped":0,"conflicts":31,)"
+    R"("latency_s_p50":6.870325498,"latency_s_p99":14.99705894,)"
+    R"("latency_s_p999":14.99705894,"latency_s_max":15,)"
+    R"("latency_s_mean":7.379222973})";
+constexpr size_t kGoldenPlacedCount = 1184;
+constexpr uint64_t kGoldenPlacedDigest = 11355238919070054595ULL;
+
+struct OverloadRun {
+  std::string row;
+  std::vector<PodId> placed;
+};
+
+OverloadRun RunMildOverload(size_t pipeline_depth, size_t ingest_threads) {
   const ServeWorld& world = World();
-  std::string reference_row;
-  std::vector<PodId> reference_placed;
-  bool first = true;
-  for (const size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    serve::ServeConfig config = BaseConfig();
-    config.arrival.offered_pods_per_sec = 120.0;
-    config.max_schedule_per_round = 48;  // mild overload: nonzero waits
-    config.distributed.shard_num_threads = threads;
-    ClusterState cluster(300, kUnitResources, /*history_window=*/64);
-    serve::PlacementService service(world.workload, world.profiles, &cluster,
-                                    config);
-    service.RunRounds(10);
-    service.Drain();
-    const std::string row = serve::RenderLatencyRow(service.MakeLatencyRow());
-    const std::vector<PodId> placed = service.PlacedPodIds();
-    if (first) {
-      reference_row = row;
-      reference_placed = placed;
-      first = false;
-      EXPECT_GT(service.counters().placed, 0);
-    } else {
-      EXPECT_EQ(row, reference_row) << "threads=" << threads;
-      EXPECT_EQ(placed, reference_placed) << "threads=" << threads;
+  serve::ServeConfig config = BaseConfig();
+  config.arrival.offered_pods_per_sec = 120.0;
+  config.max_schedule_per_round = 48;  // mild overload: nonzero waits
+  config.pipeline_depth = pipeline_depth;
+  config.ingest_threads = ingest_threads;
+  ClusterState cluster(300, kUnitResources, /*history_window=*/64);
+  serve::PlacementService service(world.workload, world.profiles, &cluster,
+                                  config);
+  service.RunRounds(10);
+  service.Drain();
+  return {serve::RenderLatencyRow(service.MakeLatencyRow()),
+          service.PlacedPodIds()};
+}
+
+TEST(PlacementServiceTest, LatencyRowsMatchGoldensAcrossPipelineMatrix) {
+  OverloadRun last;
+  for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (const size_t ingest : {size_t{0}, size_t{1}}) {
+      SCOPED_TRACE("depth=" + std::to_string(depth) +
+                   " ingest=" + std::to_string(ingest));
+      last = RunMildOverload(depth, ingest);
+      EXPECT_EQ(last.row, kGoldenRow);
+      EXPECT_EQ(last.placed.size(), kGoldenPlacedCount);
+      EXPECT_EQ(testing_golden::PlacedSetDigest(last.placed), kGoldenPlacedDigest);
     }
   }
+  // Same-process repeat: no state leaks from one service into the next.
+  const OverloadRun again = RunMildOverload(3, 1);
+  EXPECT_EQ(again.row, last.row);
+  EXPECT_EQ(again.placed, last.placed);
 }
 
 TEST(PlacementServiceTest, PlacedSetStableAcrossShardCounts) {

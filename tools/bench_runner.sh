@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
 # Builds the RelWithDebInfo preset and runs the hot-path benchmark, writing
-# BENCH_hotpath.json at the repo root (or to the positional output if given),
-# then re-runs the scoring loop with OptumConfig::num_threads in {0,2,4} and
-# writes BENCH_hotpath_threads.json alongside it. On a single-core machine
-# the threads sweep records speedup ~= 1 with an explanatory note in the
-# JSON. BENCH_hotpath.json also carries a "forest" section: ns/row of
+# BENCH_hotpath.json at the repo root (or to the positional output if given).
+# BENCH_hotpath.json also carries a "forest" section: ns/row of
 # pointer-tree forest descent vs the compiled SoA engine (exact and
 # quantized variants) over a batch-size sweep, and an "observability"
 # section with the span-log / series-ring overhead.
@@ -65,8 +62,6 @@ elif [[ "${serve_only}" == 1 ]]; then
 else
   out="${out_arg:-$PWD/BENCH_hotpath.json}"
   ./build/bench/bench_hotpath "${out}"
-  threads_out="$(dirname "${out}")/BENCH_hotpath_threads.json"
-  ./build/bench/bench_hotpath --threads-sweep "${threads_out}"
 fi
 
 if [[ "${write_baseline}" == 1 ]]; then

@@ -257,13 +257,13 @@ int Main(int argc, char** argv) {
   table.AddRow({"conflicts", std::to_string(row.conflicts)});
   table.AddRow({"drain_rounds", std::to_string(drain_rounds)});
   // Wall clock of the serve phase — the one machine-dependent line here.
-  table.AddRow({"serve_wall_s", FormatDouble(serve_wall_s, 3)});
+  table.AddRow({"serve_wall_s", FormatFixed(serve_wall_s, 3)});
   table.AddRow(
       {"placed_per_wall_s",
-       FormatDouble(serve_wall_s > 0.0
-                        ? static_cast<double>(row.placed) / serve_wall_s
-                        : 0.0,
-                    1)});
+       FormatFixed(serve_wall_s > 0.0
+                       ? static_cast<double>(row.placed) / serve_wall_s
+                       : 0.0,
+                   1)});
   table.AddRow({"latency_s_p50", FormatDouble(row.latency_s_p50, 3)});
   table.AddRow({"latency_s_p99", FormatDouble(row.latency_s_p99, 3)});
   table.AddRow({"latency_s_p999", FormatDouble(row.latency_s_p999, 3)});
@@ -300,14 +300,14 @@ int Main(int argc, char** argv) {
                   FormatDouble(monitor->last_max_pressure(), 4)});
     table.AddRow(
         {"slo_violation_s_ls",
-         FormatDouble(static_cast<double>(slo.violation_ticks(SloClass::kLs)) *
-                          monitor->seconds_per_tick(),
-                      1)});
+         FormatFixed(static_cast<double>(slo.violation_ticks(SloClass::kLs)) *
+                         monitor->seconds_per_tick(),
+                     1)});
     table.AddRow(
         {"slo_violation_s_be",
-         FormatDouble(static_cast<double>(slo.violation_ticks(SloClass::kBe)) *
-                          monitor->seconds_per_tick(),
-                      1)});
+         FormatFixed(static_cast<double>(slo.violation_ticks(SloClass::kBe)) *
+                         monitor->seconds_per_tick(),
+                     1)});
   }
   table.Print();
 
