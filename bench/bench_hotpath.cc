@@ -7,9 +7,9 @@
 //      the pre-change behaviour (full Eq. 8 rescan per candidate), so the
 //      ratio is the speedup delivered by the cache.
 //   2. Simulator tick: ticks per second of a full reference-scheduler run,
-//      serial vs parallel UpdateUsageAndPerformance (bit-identical results;
-//      wall-clock gain requires a multi-core machine — the JSON records
-//      hardware_concurrency so numbers are comparable across machines).
+//      one lane (serial) vs hardware_concurrency lanes for the per-tick host
+//      and pod passes (bit-identical results; each tick row records the
+//      lane count, which is the measured hardware_concurrency).
 //   3. Forest inference: ns/row of pointer-tree descent
 //      (RandomForestRegressor::Predict) vs the compiled SoA engine
 //      (CompiledForest::PredictBatch, DESIGN.md §10) across a batch-size
@@ -587,31 +587,31 @@ std::vector<ServeRow> RunServeBench(const core::OptumProfiles& profiles,
 struct TickRow {
   int hosts = 0;
   Tick ticks = 0;
-  size_t threads = 0;
+  size_t lanes = 0;
   double ticks_per_sec_serial = 0.0;
   double ticks_per_sec_parallel = 0.0;
   double speedup = 0.0;
 };
 
-double MeasureTicks(const Workload& workload, size_t num_threads) {
+double MeasureTicks(const Workload& workload, size_t num_lanes) {
   AlibabaBaseline policy = bench::MakeReferenceScheduler();
   SimConfig config = bench::DefaultSimConfig();
-  config.num_threads = num_threads;
+  config.num_lanes = num_lanes;
   Simulator sim(workload, config, policy);
   const Clock::time_point start = Clock::now();
   sim.Run();
   return static_cast<double>(workload.config.horizon) / SecondsSince(start);
 }
 
-TickRow RunTickBench(int num_hosts, Tick horizon, size_t threads) {
+TickRow RunTickBench(int num_hosts, Tick horizon, size_t lanes) {
   const Workload workload =
       WorkloadGenerator(bench::DefaultWorkloadConfig(num_hosts, horizon)).Generate();
   TickRow row;
   row.hosts = num_hosts;
   row.ticks = horizon;
-  row.threads = threads;
-  row.ticks_per_sec_serial = MeasureTicks(workload, 0);
-  row.ticks_per_sec_parallel = MeasureTicks(workload, threads);
+  row.lanes = lanes;
+  row.ticks_per_sec_serial = MeasureTicks(workload, 1);
+  row.ticks_per_sec_parallel = MeasureTicks(workload, lanes);
   row.speedup = row.ticks_per_sec_parallel / row.ticks_per_sec_serial;
   return row;
 }
@@ -642,10 +642,10 @@ bool WriteJson(const std::string& path, const std::vector<ScoringRow>& scoring,
   for (size_t i = 0; i < ticks.size(); ++i) {
     const TickRow& r = ticks[i];
     std::fprintf(f,
-                 "    {\"hosts\": %d, \"ticks\": %lld, \"threads\": %zu, "
+                 "    {\"hosts\": %d, \"ticks\": %lld, \"lanes\": %zu, "
                  "\"ticks_per_sec_serial\": %.2f, \"ticks_per_sec_parallel\": %.2f, "
                  "\"speedup\": %.2f}%s\n",
-                 r.hosts, static_cast<long long>(r.ticks), r.threads,
+                 r.hosts, static_cast<long long>(r.ticks), r.lanes,
                  r.ticks_per_sec_serial, r.ticks_per_sec_parallel, r.speedup,
                  i + 1 < ticks.size() ? "," : "");
   }
@@ -847,12 +847,11 @@ int Main(int argc, char** argv) {
     forest = RunForestBench();
   }
 
-  const size_t tick_threads = std::clamp(hw_threads, 2u, 8u);
   std::vector<TickRow> ticks;
   if (run_tick) {
     for (int hosts : {1000, 6000}) {
-      std::printf("tick %d hosts (serial then %zu threads)...\n", hosts, tick_threads);
-      ticks.push_back(RunTickBench(hosts, /*horizon=*/3 * kTicksPerHour, tick_threads));
+      std::printf("tick %d hosts (1 lane then %u lanes)...\n", hosts, hw_threads);
+      ticks.push_back(RunTickBench(hosts, /*horizon=*/3 * kTicksPerHour, hw_threads));
     }
   }
 

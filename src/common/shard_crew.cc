@@ -18,6 +18,13 @@ namespace {
 // barrier length of spinning. A fixed property of the round shape, not a
 // tuning knob.
 constexpr std::chrono::microseconds kSpinBudget{250};
+// How long a crew thread spins for the next round after an open round.
+// Parking costs an open round's caller nothing — it starts the next round
+// alone and a woken lane joins late — so lanes only need to stay hot across
+// short serial gaps: the simulator's OOM pass between its two host passes
+// takes ~8 µs at 1,000 hosts, while the scheduling phase between ticks
+// takes milliseconds and is not worth spinning through.
+constexpr std::chrono::microseconds kOpenRoundSpin{50};
 // Clock reads are amortized over a short burst of pause instructions.
 constexpr int kPausesPerClockRead = 64;
 
@@ -30,11 +37,12 @@ inline void CpuRelax() {
 }
 
 // Waits until done(word) holds and returns the value that satisfied it
-// (acquire): spins with pause for kSpinBudget, then parks in
-// std::atomic::wait, re-checking after every wake-up.
+// (acquire): spins with pause for `spin`, then parks in std::atomic::wait,
+// re-checking after every wake-up.
 template <typename Done>
-uint32_t SpinThenPark(const std::atomic<uint32_t>& word, Done done) {
-  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+uint32_t SpinThenPark(const std::atomic<uint32_t>& word, std::chrono::microseconds spin,
+                      Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + spin;
   do {
     for (int i = 0; i < kPausesPerClockRead; ++i) {
       const uint32_t v = word.load(std::memory_order_acquire);
@@ -75,28 +83,47 @@ void ShardCrew::StopAndJoin() {
   if (threads_.empty()) {
     return;
   }
-  stopping_ = true;
-  epoch_.fetch_add(1);  // publishes stopping_ like a round
-  epoch_.notify_all();
+  stopping_.store(true, std::memory_order_relaxed);
+  Publish(0);  // publishes stopping_ like a round
   for (std::thread& t : threads_) {
     t.join();
   }
   threads_.clear();
 }
 
-void ShardCrew::RunRound(void* ctx, LaneFn fn) {
+void ShardCrew::Publish(uint32_t round_type) {
+  // One writer (the caller, or the destructor), so a plain seq_cst store
+  // advances the counter; seq_cst also orders it before notify_all's check
+  // for parked waiters.
+  const uint32_t counter = epoch_.load(std::memory_order_relaxed) >> 1;
+  epoch_.store(((counter + 1) << 1) | round_type);
+  epoch_.notify_all();
+}
+
+void ShardCrew::RunRound(void* ctx, LaneFn fn, bool open) {
   ctx_ = ctx;
   fn_ = fn;
   if (!threads_.empty()) {
-    pending_.store(static_cast<uint32_t>(threads_.size()), std::memory_order_relaxed);
-    // seq_cst: publishes the payload above, and orders the increment before
-    // notify_all's check for parked waiters.
-    epoch_.fetch_add(1);
-    epoch_.notify_all();
+    if (open) {
+      // Releases the payload to every crew thread that joins, including one
+      // that observed an earlier open round and has not tried to join yet.
+      admission_.store(0, std::memory_order_release);
+      Publish(kOpenRound);
+    } else {
+      pending_.store(static_cast<uint32_t>(threads_.size()), std::memory_order_relaxed);
+      Publish(0);
+    }
   }
   RunLane(0);
   if (!threads_.empty()) {
-    SpinThenPark(pending_, [](uint32_t v) { return v == 0; });
+    if (open) {
+      // Lane 0 returned, so every index is claimed: close admission and wait
+      // only for the crew threads that joined.
+      admission_.fetch_or(kClosed, std::memory_order_relaxed);
+      SpinThenPark(admission_, kSpinBudget, [](uint32_t v) { return v == kClosed; });
+    } else {
+      SpinThenPark(pending_, kSpinBudget, [](uint32_t v) { return v == 0; });
+    }
   }
   std::exception_ptr first;
   for (std::exception_ptr& error : errors_) {
@@ -121,15 +148,41 @@ void ShardCrew::RunLane(size_t lane) noexcept {
 void ShardCrew::CrewLoop(size_t lane) {
   uint32_t seen = 0;
   for (;;) {
-    seen = SpinThenPark(epoch_, [seen](uint32_t v) { return v != seen; });
-    if (stopping_) {
+    const auto spin = (seen & kOpenRound) != 0 ? kOpenRoundSpin : kSpinBudget;
+    seen = SpinThenPark(epoch_, spin, [seen](uint32_t v) { return v != seen; });
+    if (stopping_.load(std::memory_order_relaxed)) {
       return;
     }
+    if ((seen & kOpenRound) == 0) {
+      RunLane(lane);
+      if (pending_.fetch_sub(1) == 1) {
+        pending_.notify_one();
+      }
+      continue;
+    }
+    if (!TryJoinOpenRound()) {
+      continue;  // closed: the caller and the other lanes ran every index
+    }
     RunLane(lane);
-    if (pending_.fetch_sub(1) == 1) {
-      pending_.notify_one();
+    if (admission_.fetch_sub(1, std::memory_order_release) == (kClosed | 1)) {
+      admission_.notify_one();
     }
   }
+}
+
+bool ShardCrew::TryJoinOpenRound() {
+  // The round admitted into may be a later open round than the one this
+  // thread observed; its payload is just as valid, and the acquire pairs
+  // with the release store that opened it.
+  uint32_t admission = admission_.load(std::memory_order_relaxed);
+  while ((admission & kClosed) == 0) {
+    if (admission_.compare_exchange_weak(admission, admission + 1,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace optum

@@ -70,16 +70,6 @@ void Host::HistoryStats(double* mean, double* stddev) const {
   *stddev = std::sqrt(var);
 }
 
-bool Host::HasSloWorkload() const {
-  for (const PodRuntime* pod : pods) {
-    const SloClass slo = pod->spec.slo;
-    if (slo == SloClass::kBe || slo == SloClass::kLs || slo == SloClass::kLsr) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void CountPodsBySlo(const Host& host, int32_t out[kNumSloClasses]) {
   for (int c = 0; c < kNumSloClasses; ++c) {
     out[c] = host.slo_pods[c];

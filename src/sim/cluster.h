@@ -129,8 +129,13 @@ struct Host {
   // True when the host runs at least one pod with an explicit SLO
   // (BE/LS/LSR). Hosts carrying only system daemons count as idle for the
   // utilization metric (the paper's characterization focuses on pods with
-  // explicit SLO requirements, §2.2).
-  bool HasSloWorkload() const;
+  // explicit SLO requirements, §2.2). O(1): reads slo_pods.
+  bool HasSloWorkload() const {
+    return slo_pods[static_cast<size_t>(SloClass::kBe)] +
+               slo_pods[static_cast<size_t>(SloClass::kLs)] +
+               slo_pods[static_cast<size_t>(SloClass::kLsr)] >
+           0;
+  }
 };
 
 // Resident pod counts by SLO class — a copy of the incrementally maintained

@@ -54,10 +54,8 @@ Simulator::Simulator(const Workload& workload, SimConfig config, PlacementPolicy
       psi_model_(config.psi),
       cluster_(workload.config.num_hosts, config.host_capacity,
                config.nsigma_history_window),
-      rng_(config.seed) {
-  if (config_.num_threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  }
+      rng_(config.seed),
+      crew_(config.num_lanes) {
   OPTUM_CHECK_MSG(config_.sinks.series == nullptr || config_.sinks.metrics != nullptr,
                   "SimConfig::series requires SimConfig::metrics");
   wait_by_pod_.resize(workload.pods.size());
@@ -94,16 +92,6 @@ void Simulator::RemoveFromRunning(PodRuntime* pod) {
   moved->running_index = idx;
   running_.pop_back();
   pod->running_index = static_cast<size_t>(-1);
-}
-
-void Simulator::ParallelOverN(size_t n, const std::function<void(size_t)>& fn) {
-  if (pool_ != nullptr && n >= 2 * pool_->num_threads()) {
-    pool_->ParallelFor(n, fn);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    fn(i);
-  }
 }
 
 void Simulator::EnqueueArrivals() {
@@ -245,38 +233,35 @@ void Simulator::SchedulePending() {
 }
 
 void Simulator::UpdateUsageAndPerformance() {
-  // Four phases, with the two expensive ones parallel over independent
-  // state. Determinism for any thread count: every stochastic draw comes
-  // from a per-pod stream, each pod/host is touched by exactly one task per
-  // phase, and the shared counters are reduced serially in host order.
+  // Four phases; the two expensive ones run on the crew, one host per index.
+  // Determinism for any lane count: every stochastic draw comes from a
+  // per-pod stream, each host (and so each pod) is touched by exactly one
+  // lane per phase, and the shared counters are reduced serially in host
+  // order.
 
-  // Phase 1 (parallel over pods): raw demands from per-pod noise streams.
-  ParallelOverN(running_.size(), [&](size_t i) {
-    PodRuntime* pod = running_[i];
-    const AppProfile& app = *pod->app;
-    double cpu = PodCpuDemand(app, pod->spec.behavior, now_, pod->noise);
-    double mem = PodMemDemand(app, pod->spec.behavior, now_, pod->noise);
-    cpu = std::min(cpu, pod->spec.limit.cpu);
-    mem = std::min(mem, pod->spec.limit.mem);
-    pod->cpu_demand = cpu;
-    pod->mem_usage = mem;
-    pod->qps = PodQps(app, pod->spec.behavior, now_, pod->noise);
-  });
-
-  // Phase 2 (parallel over hosts): per-host demand sums.
+  // Phase 1 (crew, per host): each resident pod's raw demand from its own
+  // noise stream, summed in host.pods order.
   const size_t num_hosts = cluster_.num_hosts();
-  ParallelOverN(num_hosts, [&](size_t hi) {
+  crew_.ParallelFor(num_hosts, [&](size_t hi) {
     const Host& host = cluster_.host(static_cast<HostId>(hi));
     TickScratch& scratch = tick_scratch_[hi];
     scratch.demand = kZeroResources;
     scratch.violation = false;
     scratch.had_pods = !host.pods.empty();
-    for (const PodRuntime* pod : host.pods) {
-      scratch.demand += Resources{pod->cpu_demand, pod->mem_usage};
+    for (PodRuntime* pod : host.pods) {
+      const AppProfile& app = *pod->app;
+      const double cpu = std::min(PodCpuDemand(app, pod->spec.behavior, now_, pod->noise),
+                                  pod->spec.limit.cpu);
+      const double mem = std::min(PodMemDemand(app, pod->spec.behavior, now_, pod->noise),
+                                  pod->spec.limit.mem);
+      pod->cpu_demand = cpu;
+      pod->mem_usage = mem;
+      pod->qps = PodQps(app, pod->spec.behavior, now_, pod->noise);
+      scratch.demand += Resources{cpu, mem};
     }
   });
 
-  // Phase 3 (serial, rare): memory over-capacity triggers OOM kills of the
+  // Phase 2 (serial, rare): memory over-capacity triggers OOM kills of the
   // newest BE pods ("running out-of-memory can kill all programs on the
   // host", §3.1.2; we model the kernel killing best-effort victims first).
   // Mutates pending_/running_/cluster_, so it stays on the calling thread.
@@ -317,9 +302,9 @@ void Simulator::UpdateUsageAndPerformance() {
     }
   }
 
-  // Phase 4 (parallel over hosts): capacity scaling, per-pod usage, PSI,
-  // BE progress, and the host history window.
-  ParallelOverN(num_hosts, [&](size_t hi) {
+  // Phase 3 (crew, per host): capacity scaling, per-pod usage, PSI, BE
+  // progress, and the host history window.
+  crew_.ParallelFor(num_hosts, [&](size_t hi) {
     Host& host = cluster_.mutable_host(static_cast<HostId>(hi));
     TickScratch& scratch = tick_scratch_[hi];
     if (host.pods.empty()) {
@@ -364,7 +349,7 @@ void Simulator::UpdateUsageAndPerformance() {
     host.PushHistory(usage.cpu / host.capacity.cpu, config_.nsigma_history_window);
   });
 
-  // Phase 5 (serial reduce): shared counters, in host order.
+  // Phase 4 (serial reduce): shared counters, in host order.
   for (size_t hi = 0; hi < num_hosts; ++hi) {
     result_.nonidle_host_ticks += tick_scratch_[hi].had_pods ? 1 : 0;
     result_.violation_host_ticks += tick_scratch_[hi].violation ? 1 : 0;
@@ -402,14 +387,14 @@ void Simulator::FinishPod(PodRuntime* pod, Tick finish_tick) {
 
 void Simulator::HandleCompletions() {
   // Collect first: FinishPod mutates running_.
-  std::vector<PodRuntime*> done;
+  done_.clear();
   for (PodRuntime* pod : running_) {
     if (pod->spec.slo == SloClass::kBe &&
         pod->progress + 1e-9 >= pod->spec.behavior.work_ticks) {
-      done.push_back(pod);
+      done_.push_back(pod);
     }
   }
-  for (PodRuntime* pod : done) {
+  for (PodRuntime* pod : done_) {
     FinishPod(pod, now_);
   }
 }
@@ -442,7 +427,13 @@ void Simulator::RecordRunningState() {
   }
 
   if (config_.pod_usage_period > 0 && now_ % config_.pod_usage_period == 0) {
-    for (PodRuntime* pod : running_) {
+    // Rows (and their per-pod PSI/response-time draws) are built on the crew
+    // indexed by running_ position, then appended serially one push_back at
+    // a time: pre-sizing pod_usage for a bulk fill moves its last
+    // reallocation later in the run and raises peak RSS.
+    usage_rows_.resize(running_.size());
+    crew_.ParallelFor(running_.size(), [&](size_t i) {
+      PodRuntime* pod = running_[i];
       PodUsageRecord rec;
       rec.pod_id = pod->spec.id;
       rec.host = pod->host;
@@ -461,6 +452,9 @@ void Simulator::RecordRunningState() {
         rec.response_time = psi_model_.ResponseTime(
             *pod->app, pod->psi60, pod->spec.behavior.rt_scale, pod->noise);
       }
+      usage_rows_[i] = rec;
+    });
+    for (const PodUsageRecord& rec : usage_rows_) {
       result_.trace.pod_usage.push_back(rec);
     }
   }

@@ -5,12 +5,13 @@
 #ifndef OPTUM_SRC_SIM_SIMULATOR_H_
 #define OPTUM_SRC_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
-#include <memory>
+#include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "src/common/shard_crew.h"
 #include "src/obs/metrics.h"
 #include "src/obs/pressure.h"
 #include "src/obs/sinks.h"
@@ -41,11 +42,12 @@ struct SimConfig {
   // the pending queue is deep.
   size_t max_attempts_per_tick = 4000;
 
-  // Worker threads for the per-host usage/performance update; 0 runs the
-  // tick loop on the calling thread. Results are bit-identical for every
-  // thread count: all stochastic draws come from per-pod streams and
-  // cross-host aggregation is reduced in host order.
-  size_t num_threads = 0;
+  // Lanes for the per-tick host and pod passes, counting the calling thread
+  // (lane 0); the simulator keeps num_lanes - 1 crew threads for its
+  // lifetime, and 1 runs every pass serially with no extra thread. Results
+  // are bit-identical for every lane count: all stochastic draws come from
+  // per-pod streams and cross-host aggregation is reduced in host order.
+  size_t num_lanes = std::max(1u, std::thread::hardware_concurrency());
 
   // Stop draining a priority queue after this many consecutive rejections
   // in one tick (head-of-line batching; bounds per-tick work when the
@@ -71,7 +73,7 @@ struct SimConfig {
   //     serial phases; sampled/scored come from the placement policy (pass
   //     the same Sinks to PlacementPolicy::AttachSinks). Span output
   //     carries only tick timestamps, so the file is bit-identical for
-  //     every num_threads.
+  //     every num_lanes.
   //   * sinks.series — streaming gauge time series, sampled once per tick
   //     after the sim.* gauges update. Requires sinks.metrics (the recorder
   //     snapshots that registry's gauges); the constructor enforces this.
@@ -157,8 +159,8 @@ class Simulator {
     Tick enqueued_at = 0;
   };
 
-  // Per-host per-tick scratch, filled by the parallel demand pass and
-  // consumed by the serial OOM pass and the parallel usage pass.
+  // Per-host per-tick scratch, filled by the crew's demand pass and
+  // consumed by the serial OOM pass and the crew's usage pass.
   struct TickScratch {
     Resources demand;
     bool had_pods = false;   // host was non-idle at the start of the tick
@@ -189,16 +191,12 @@ class Simulator {
   void AddRunning(PodRuntime* pod);
   void RemoveFromRunning(PodRuntime* pod);
 
-  // Runs fn(i) for i in [0, n): on the pool when configured, else inline.
-  void ParallelOverN(size_t n, const std::function<void(size_t)>& fn);
-
   const Workload& workload_;
   SimConfig config_;
   PlacementPolicy& policy_;
   PsiModel psi_model_;
   ClusterState cluster_;
   Rng rng_;
-  std::unique_ptr<ThreadPool> pool_;
 
   Tick now_ = 0;
   size_t next_arrival_ = 0;
@@ -206,7 +204,8 @@ class Simulator {
   std::deque<PendingPod> pending_[4];
   std::vector<PodRuntime*> running_;  // all currently running pods
   std::vector<TickScratch> tick_scratch_;
-  std::vector<HostId> oom_hosts_;  // scratch: hosts needing OOM handling
+  std::vector<PodRuntime*> done_;            // HandleCompletions scratch
+  std::vector<PodUsageRecord> usage_rows_;  // RecordRunningState scratch
 
   // Final wait reason per pod id (kNone if the pod never waited).
   std::vector<WaitSample> wait_by_pod_;
@@ -228,6 +227,9 @@ class Simulator {
     obs::Gauge* violations = nullptr;
   };
   SimMetrics sim_metrics_;
+
+  // Last: destroyed first, so no crew thread outlives the state it touches.
+  ShardCrew crew_;
 };
 
 }  // namespace optum

@@ -5,8 +5,8 @@
 // 8 copies of a placement stream at once on a >= 1,000-host cluster and
 // require bit-identical decisions, Eq. 11 scores, metrics, decision logs,
 // span bytes and cluster state against a lone serial run; end to end, a
-// full simulation with Optum is bit-identical across the simulator's own
-// SimConfig::num_threads. Run them under the `tsan` preset
+// full simulation with Optum produces a bit-identical TraceBundle for every
+// SimConfig::num_lanes. Run them under the `tsan` preset
 // (tools/sanitize_runner.sh) to also prove the absence of data races, not
 // just of nondeterminism.
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "src/sched/baselines.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload_generator.h"
+#include "tests/sim_test_util.h"
 
 namespace optum {
 namespace {
@@ -331,12 +332,13 @@ TEST(ThreadCountInvarianceTest, SpanLogBitIdenticalAcrossThreadCounts) {
 // --- End-to-end simulator equivalence ----------------------------------------
 
 SimResult RunOptum(const Workload& workload, const SimConfig& sim_config,
-                   OptumProfiles profiles, size_t sim_threads) {
-  OptumScheduler optum(std::move(profiles));
+                   OptumProfiles profiles, const OptumConfig& optum_config,
+                   size_t sim_lanes) {
+  OptumScheduler optum(std::move(profiles), optum_config);
   SimConfig config = sim_config;
-  config.num_threads = sim_threads;
+  config.num_lanes = sim_lanes;
   // Online ERO observation churns EroTable::version mid-run, so the test
-  // also covers cache invalidation while the tick's worker threads are alive.
+  // also covers cache invalidation while the tick's crew threads are alive.
   config.on_tick_end = [&optum](const ClusterState& cluster, Tick now) {
     optum.ObserveColocation(cluster, now);
   };
@@ -344,30 +346,22 @@ SimResult RunOptum(const Workload& workload, const SimConfig& sim_config,
 }
 
 TEST(ThreadCountInvarianceTest, FullSimulationMatchesSerial) {
-  const Workload workload = MakeWorkload(200, 2 * kTicksPerHour, 31);
+  // Optum may fill predicted memory just past capacity, so OOM kills and
+  // LSR preemptions both fire on the serial path between crew rounds.
+  const Workload workload = testing_sim::OvercommitWorkload();
   const SimConfig sim_config = MakeSimConfig();
   const OptumProfiles profiles = TrainProfiles(workload, sim_config);
+  OptumConfig optum_config;
+  optum_config.mem_util_limit = 1.01;
 
-  const SimResult serial = RunOptum(workload, sim_config, profiles, 0);
+  const SimResult serial = RunOptum(workload, sim_config, profiles, optum_config, 1);
   EXPECT_GT(serial.scheduled_pods, 0);
-  for (const size_t num_threads : {size_t{2}, size_t{8}}) {
-    const SimResult threaded = RunOptum(workload, sim_config, profiles, num_threads);
-    ASSERT_EQ(serial.trace.pods.size(), threaded.trace.pods.size());
-    for (size_t i = 0; i < serial.trace.pods.size(); ++i) {
-      ASSERT_EQ(serial.trace.pods[i].pod_id, threaded.trace.pods[i].pod_id);
-      ASSERT_EQ(serial.trace.pods[i].original_machine_id,
-                threaded.trace.pods[i].original_machine_id)
-          << "placement diverged at decision " << i
-          << " with SimConfig::num_threads=" << num_threads;
-    }
-    EXPECT_EQ(serial.scheduled_pods, threaded.scheduled_pods);
-    EXPECT_EQ(serial.never_scheduled_pods, threaded.never_scheduled_pods);
-    EXPECT_EQ(serial.oom_kills, threaded.oom_kills);
-    EXPECT_EQ(serial.preemptions, threaded.preemptions);
-    EXPECT_EQ(serial.violation_host_ticks, threaded.violation_host_ticks);
-    EXPECT_EQ(serial.nonidle_host_ticks, threaded.nonidle_host_ticks);
-    EXPECT_EQ(serial.MeanCpuUtilNonIdle(), threaded.MeanCpuUtilNonIdle());
-    EXPECT_EQ(serial.MeanMemUtilNonIdle(), threaded.MeanMemUtilNonIdle());
+  EXPECT_GT(serial.oom_kills, 0);
+  EXPECT_GT(serial.preemptions, 0);
+  for (const size_t lanes : {size_t{2}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE(::testing::Message() << "SimConfig::num_lanes=" << lanes);
+    testing_sim::ExpectIdenticalSimResults(
+        serial, RunOptum(workload, sim_config, profiles, optum_config, lanes));
   }
 }
 

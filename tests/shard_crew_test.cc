@@ -4,8 +4,11 @@
 // the caller as lane 0, lane writes are visible to the caller when Run()
 // returns, a one-lane crew starts no thread, destruction joins parked
 // lanes, and a lane's exception reaches the caller instead of terminating
-// the process. Labeled `concurrency` so tools/sanitize_runner.sh also runs
-// it under TSan and ASan+UBSan.
+// the process. ParallelFor, the chunked index loop the simulator's tick runs
+// on, must run every index exactly once, stay reusable over thousands of
+// rounds and propagate a throwing body; a simulator's lanes live and die
+// with it. Labeled `concurrency` so tools/sanitize_runner.sh also runs it
+// under TSan and ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +22,9 @@
 
 #include "src/common/shard_crew.h"
 #include "src/core/distributed.h"
+#include "src/sched/baselines.h"
+#include "src/sim/simulator.h"
+#include "src/trace/workload_generator.h"
 
 namespace optum {
 namespace {
@@ -181,6 +187,114 @@ TEST(ShardCrewTest, LaneExceptionIsRethrownOnCallerAfterBarrier) {
   std::atomic<int> runs{0};
   crew.Run([&](size_t) { runs.fetch_add(1); });
   EXPECT_EQ(runs.load(), 4);
+}
+
+// --- ParallelFor: the simulator tick's chunked index loop --------------------
+
+TEST(ShardCrewParallelForTest, EveryIndexRunsExactlyOnce) {
+  for (const size_t lanes : {size_t{1}, size_t{2}, size_t{4}}) {
+    ShardCrew crew(lanes);
+    for (const size_t n : {size_t{0}, size_t{1}, 2 * lanes - 1, 2 * lanes, size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      crew.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "lanes " << lanes << ", n " << n << ", index " << i;
+      }
+    }
+  }
+}
+
+TEST(ShardCrewParallelForTest, ShortRangesRunInlineOnCaller) {
+  ShardCrew crew(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t n = 1; n < 2 * crew.num_lanes(); ++n) {
+    size_t runs = 0;  // plain: an inline loop never leaves the caller
+    crew.ParallelFor(n, [&](size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++runs;
+    });
+    EXPECT_EQ(runs, n);
+  }
+}
+
+TEST(ShardCrewParallelForTest, ReusableAcrossThousandsOfRounds) {
+  // Plain per-index slots: only the barrier orders a lane's write before
+  // the caller's read and before the next round's write to the same slot.
+  constexpr uint64_t kRounds = 2000;
+  ShardCrew crew(4);
+  std::vector<uint64_t> slot(997, 0);
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    crew.ParallelFor(slot.size(), [&](size_t i) { slot[i] += i + round; });
+  }
+  for (size_t i = 0; i < slot.size(); ++i) {
+    ASSERT_EQ(slot[i], kRounds * i + kRounds * (kRounds + 1) / 2) << "index " << i;
+  }
+}
+
+TEST(ShardCrewParallelForTest, InterleavesWithRunRounds) {
+  // Open ParallelFor rounds and every-lane Run rounds back to back: a crew
+  // thread late for an open round must neither run a later Run round twice
+  // nor miss one. Plain slots, so TSan checks the ordering too.
+  ShardCrew crew(4);
+  std::vector<uint64_t> lane_runs(crew.num_lanes(), 0);
+  std::vector<uint64_t> slot(200, 0);
+  constexpr uint64_t kRounds = 1000;
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    crew.ParallelFor(slot.size(), [&](size_t i) { ++slot[i]; });
+    crew.Run([&](size_t lane) { ++lane_runs[lane]; });
+  }
+  for (size_t i = 0; i < slot.size(); ++i) {
+    ASSERT_EQ(slot[i], kRounds) << "index " << i;
+  }
+  for (size_t lane = 0; lane < lane_runs.size(); ++lane) {
+    EXPECT_EQ(lane_runs[lane], kRounds) << "lane " << lane;
+  }
+}
+
+TEST(ShardCrewParallelForTest, ThrowingBodyPropagates) {
+  ShardCrew crew(4);
+  // 3 indices run inline on the caller; 1,000 run on the crew.
+  for (const size_t n : {size_t{3}, size_t{1000}}) {
+    try {
+      crew.ParallelFor(n, [](size_t i) {
+        if (i == 2) {
+          throw std::runtime_error("index 2");
+        }
+      });
+      FAIL() << "the exception was lost with n " << n;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "index 2");
+    }
+  }
+  // The crew stays usable after a throw.
+  std::atomic<int> runs{0};
+  crew.ParallelFor(100, [&](size_t) { runs.fetch_add(1); });
+  EXPECT_EQ(runs.load(), 100);
+}
+
+TEST(ShardCrewParallelForTest, SimulatorLanesLiveAndDieWithTheSimulator) {
+  std::thread([] {}).join();  // see OneShardCoordinatorStartsNoThread
+  const int before = ProcessThreadCount();
+  if (before < 0) {
+    GTEST_SKIP() << "/proc/self/task unavailable";
+  }
+  WorkloadConfig workload_config;
+  workload_config.num_hosts = 24;
+  workload_config.horizon = 20;
+  const Workload workload = WorkloadGenerator(workload_config).Generate();
+  for (const size_t lanes : {size_t{1}, size_t{4}}) {
+    SimConfig config;
+    config.num_lanes = lanes;
+    int during = -1;
+    config.on_tick_end = [&](const ClusterState&, Tick) { during = ProcessThreadCount(); };
+    AlibabaBaseline policy;
+    {
+      Simulator simulator(workload, config, policy);
+      simulator.Run();
+      EXPECT_EQ(during, before + static_cast<int>(lanes) - 1) << lanes << " lanes";
+    }
+    EXPECT_EQ(ProcessThreadCount(), before) << lanes << " lanes";
+  }
 }
 
 }  // namespace

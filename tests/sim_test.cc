@@ -4,10 +4,13 @@
 
 #include <algorithm>
 
+#include "src/sched/baselines.h"
 #include "src/sim/cluster.h"
 #include "src/sim/psi_model.h"
 #include "src/sim/simulator.h"
+#include "src/stats/rng.h"
 #include "src/trace/workload_generator.h"
+#include "tests/sim_test_util.h"
 
 namespace optum {
 namespace {
@@ -162,6 +165,68 @@ TEST(ClusterStateTest, PodRuntimeRecycling) {
   EXPECT_EQ(first, second);  // recycled slot
   EXPECT_EQ(second->spec.id, 2);
   EXPECT_DOUBLE_EQ(second->progress, 0.0);  // state fully reset
+}
+
+// The pod scan Host::HasSloWorkload replaced with a slo_pods read.
+bool HasSloWorkloadByScan(const Host& host) {
+  return std::any_of(host.pods.begin(), host.pods.end(), [](const PodRuntime* pod) {
+    const SloClass slo = pod->spec.slo;
+    return slo == SloClass::kBe || slo == SloClass::kLs || slo == SloClass::kLsr;
+  });
+}
+
+TEST(ClusterStateTest, HasSloWorkloadMatchesPodScanAcrossPlaceAndRemove) {
+  // Every class, including the system/VM-env/unknown pods that must not
+  // make a host count as running SLO workload.
+  std::vector<AppProfile> apps;
+  for (const SloClass slo : {SloClass::kBe, SloClass::kLs, SloClass::kLsr,
+                             SloClass::kSystem, SloClass::kVmEnv, SloClass::kUnknown}) {
+    AppProfile app = LsApp(static_cast<AppId>(apps.size()));
+    app.slo = slo;
+    apps.push_back(app);
+  }
+  constexpr int kHosts = 4;
+  ClusterState cluster(kHosts, kUnitResources, 16);
+  Rng rng(13);
+  std::vector<PodRuntime*> placed;
+  for (int step = 0; step < 2000; ++step) {
+    if (placed.empty() || rng.NextDouble() < 0.5) {
+      const AppProfile& app = apps[rng.NextBelow(apps.size())];
+      placed.push_back(cluster.Place(MakePod(step, app), &app,
+                                     static_cast<HostId>(rng.NextBelow(kHosts)), step));
+    } else {
+      const size_t victim = rng.NextBelow(placed.size());
+      cluster.Remove(placed[victim]);
+      placed[victim] = placed.back();
+      placed.pop_back();
+    }
+    for (const Host& host : cluster.hosts()) {
+      ASSERT_EQ(host.HasSloWorkload(), HasSloWorkloadByScan(host))
+          << "host " << host.id << " after step " << step;
+    }
+  }
+}
+
+TEST(SimulatorTest, HasSloWorkloadMatchesPodScanThroughPreemptionAndOom) {
+  // Memory over-committed: the simulator OOM-kills and preempts, and every
+  // host is checked at the end of every tick.
+  const Workload workload = testing_sim::OvercommitWorkload();
+  BaselineOptions options;
+  options.mem_guard = 1.4;
+  AlibabaBaseline policy(options);
+  SimConfig config;
+  config.pod_usage_period = 5;
+  config.max_attempts_per_tick = 1500;
+  int64_t mismatches = 0;
+  config.on_tick_end = [&mismatches](const ClusterState& cluster, Tick) {
+    for (const Host& host : cluster.hosts()) {
+      mismatches += host.HasSloWorkload() != HasSloWorkloadByScan(host) ? 1 : 0;
+    }
+  };
+  const SimResult result = Simulator(workload, config, policy).Run();
+  EXPECT_GT(result.oom_kills, 0);
+  EXPECT_GT(result.preemptions, 0);
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(ClusterStateTest, HostHistoryRollingWindow) {
@@ -455,6 +520,7 @@ TEST(SimulatorTest, LsrPreemptionEvictsBe) {
 TEST(SimulatorTest, RunTwiceForbidden) {
   const Workload w = TinyWorkload(2, 10);
   SimConfig config;
+  config.num_lanes = 1;  // death tests fork: keep the process single-threaded
   FirstFitPolicy policy;
   Simulator sim(w, config, policy);
   sim.Run();

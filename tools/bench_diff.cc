@@ -5,7 +5,7 @@
 // Throughput leaves are recognized by key prefix: pods_per_sec* and
 // ticks_per_sec* are higher-is-better, ns_row* is lower-is-better. Rows in
 // bench arrays are matched by their identifying fields (hosts, pods,
-// threads, batch, ...), not by index, so reordering or appending rows never
+// lanes, batch, ...), not by index, so reordering or appending rows never
 // misattributes a number.
 //
 // Usage:
@@ -70,7 +70,7 @@ Direction Classify(const std::string& key) {
 
 // Fields that identify a bench row across the two files (never compared as
 // metrics themselves).
-constexpr const char* kIdentityKeys[] = {"hosts",   "pods",  "threads",
+constexpr const char* kIdentityKeys[] = {"hosts",   "pods",  "lanes",
                                          "batch",   "ticks", "candidates_per_pod",
                                          "trees",   "rows",  "features",
                                          "shards",  "offered_pods_per_sec",

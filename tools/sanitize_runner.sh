@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the sanitizer presets and runs the `concurrency`- and
-# `observability`-labeled ctest subsets under each — the shard-crew barrier,
-# concurrent-scheduler invariance, lane-sharded cache, host-baseline stress,
-# and metrics-registry tests that guard the coordinator's shard lanes and
-# the lane-sharded metric shards.
+# `observability`-labeled ctest subsets under each — the shard-crew barrier
+# and open ParallelFor rounds, simulator lane invariance, concurrent-scheduler
+# invariance, lane-sharded cache, host-baseline stress, and metrics-registry
+# tests that guard the coordinator's shard lanes, the simulator tick's crew
+# and the lane-sharded metric shards.
 #
 #   tools/sanitize_runner.sh [tsan|asan-ubsan|all]   (default: all)
 #
