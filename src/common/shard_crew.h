@@ -18,12 +18,13 @@
 // A lane's writes happen-before Run() returns (release decrement, acquire
 // observation of zero), so the caller reads per-lane results without locks.
 //
-// The simulator's per-tick host and pod passes (DESIGN.md §8) use the same
-// crew through ParallelFor, a chunked index loop. Its rounds are *open*:
-// any index may run on any lane, so the caller does not wait for a lane that
-// has not started — a crew thread joins through an admission word while the
-// round is open, and the caller closes the round once every index is
-// claimed, then waits only for the lanes that joined. On a loaded machine
+// The simulator's per-tick host and pod passes and the forest fit, one tree
+// per index (DESIGN.md §8), use the same crew through ParallelFor, a chunked
+// index loop. Its rounds are *open*: any index may run on any lane, so the
+// caller does not wait for a lane that has not started — a crew thread
+// joins through an admission word while the round is open, and the caller
+// closes the round once every index is claimed, then waits only for the
+// lanes that joined. On a loaded machine
 // a descheduled crew thread therefore costs nothing; it finds the round
 // closed when it wakes and goes back to waiting.
 #ifndef OPTUM_SRC_COMMON_SHARD_CREW_H_
@@ -38,6 +39,8 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "src/common/check.h"
 
 namespace optum {
 
@@ -69,17 +72,20 @@ class ShardCrew {
 
   // Runs fn(i) exactly once for every i in [0, n) and returns when all have
   // finished. The caller and whichever crew threads join the open round
-  // claim chunks of kParallelForChunk consecutive indices from a shared
-  // counter, so uneven per-index cost balances itself; with
-  // n < 2 * num_lanes(), or a one-lane crew, the loop runs inline on the
-  // caller and no lane is woken. An exception escaping fn ends that lane's
-  // claims, the other lanes finish the remaining chunks, and it is rethrown
-  // here once the round is over (the caller's first, else the lowest joined
-  // lane's). The order in which indices run is unspecified, so fn(i) must
-  // touch only state owned by index i.
+  // claim chunks of `chunk` (>= 1) consecutive indices from a shared
+  // counter, so uneven per-index cost balances itself; a range of at most
+  // one chunk, or a one-lane crew, runs inline on the caller and wakes no
+  // lane. The default chunk suits many cheap indices (the simulator's
+  // hosts); a caller with few heavy ones (a forest's trees) passes 1. An
+  // exception escaping fn ends that lane's claims, the other lanes finish
+  // the remaining chunks, and it is rethrown here once the round is over
+  // (the caller's first, else the lowest joined lane's). The order in which
+  // indices run is unspecified, so fn(i) must touch only state owned by
+  // index i.
   template <typename Fn>
-  void ParallelFor(size_t n, Fn&& fn) {
-    if (threads_.empty() || n < 2 * num_lanes()) {
+  void ParallelFor(size_t n, Fn&& fn, size_t chunk = kParallelForChunk) {
+    OPTUM_CHECK_GE(chunk, 1u);
+    if (threads_.empty() || n <= chunk) {
       for (size_t i = 0; i < n; ++i) {
         fn(i);
       }
@@ -87,10 +93,9 @@ class ShardCrew {
     }
     std::atomic<size_t> next{0};
     auto body = [&](size_t /*lane*/) {
-      for (size_t begin = next.fetch_add(kParallelForChunk, std::memory_order_relaxed);
-           begin < n;
-           begin = next.fetch_add(kParallelForChunk, std::memory_order_relaxed)) {
-        const size_t end = std::min(n, begin + kParallelForChunk);
+      for (size_t begin = next.fetch_add(chunk, std::memory_order_relaxed); begin < n;
+           begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
+        const size_t end = std::min(n, begin + chunk);
         for (size_t i = begin; i < end; ++i) {
           fn(i);
         }
@@ -104,9 +109,9 @@ class ShardCrew {
  private:
   using LaneFn = void (*)(void* ctx, size_t lane);
 
-  // Indices per ParallelFor claim: small enough that 1,000 hosts split into
-  // ~60 claims across 4 lanes, large enough that neighbouring lanes rarely
-  // write the same cache line of a per-index output array.
+  // Default indices per ParallelFor claim: small enough that 1,000 hosts
+  // split into ~60 claims across 4 lanes, large enough that neighbouring
+  // lanes rarely write the same cache line of a per-index output array.
   static constexpr size_t kParallelForChunk = 16;
 
   // Epoch layout: the round counter above bit 0, and bit 0 set for an

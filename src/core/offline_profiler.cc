@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "src/common/check.h"
 #include "src/ml/metrics.h"
@@ -293,6 +294,11 @@ EroTable OfflineProfiler::BuildEroTable(const TraceBundle& trace) const {
 }
 
 OptumProfiles OfflineProfiler::BuildProfiles(const TraceBundle& trace) const {
+  ShardCrew crew(std::max(1u, std::thread::hardware_concurrency()));
+  return BuildProfiles(trace, crew);
+}
+
+OptumProfiles OfflineProfiler::BuildProfiles(const TraceBundle& trace, ShardCrew& crew) const {
   OptumProfiles profiles;
   profiles.ero = BuildEroTable(trace);
 
@@ -328,7 +334,7 @@ OptumProfiles OfflineProfiler::BuildProfiles(const TraceBundle& trace) const {
       eval_spec.seed = split_rng.NextU64();
       auto eval_model = ml::MakeRegressor(eval_spec);
       if (!split.train.empty() && !split.test.empty()) {
-        eval_model->Fit(split.train);
+        eval_model->Fit(split.train, crew);
         std::vector<double> pred = ml::PredictAll(*eval_model, split.test);
         for (double& p : pred) {
           p = model.discretizer.ToUpperBound(p);
@@ -346,7 +352,7 @@ OptumProfiles OfflineProfiler::BuildProfiles(const TraceBundle& trace) const {
     ml::RegressorSpec train_spec = config_.model;
     train_spec.seed = rng.NextU64();
     auto trained = ml::MakeRegressor(train_spec);
-    trained->Fit(discretized);
+    trained->Fit(discretized, crew);
     model.model = std::move(trained);
     profiles.apps.emplace(app_id, std::move(model));
   };

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/shard_crew.h"
 #include "src/core/profiles.h"
 #include "src/ml/dataset.h"
 #include "src/trace/schema.h"
@@ -75,8 +76,14 @@ class OfflineProfiler {
   // Builds the ERO table from co-location observations in the trace.
   EroTable BuildEroTable(const TraceBundle& trace) const;
 
-  // Full profiling pass: datasets + models + ERO + memory profiles.
+  // Full profiling pass: datasets + models + ERO + memory profiles. Every
+  // holdout and final model fits on `crew` (a forest spreads its trees over
+  // the lanes); the apps themselves are trained in order, because each gate
+  // outcome decides what the next app draws from the shared seed stream.
+  // The profiles are bit-identical for every crew size. The one-argument
+  // overload creates a crew with one lane per hardware thread for the call.
   OptumProfiles BuildProfiles(const TraceBundle& trace) const;
+  OptumProfiles BuildProfiles(const TraceBundle& trace, ShardCrew& crew) const;
 
   const OfflineProfilerConfig& config() const { return config_; }
 

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/common/check.h"
+#include "src/common/shard_crew.h"
 
 namespace optum::ml {
 
@@ -13,10 +14,12 @@ RandomForestRegressor::RandomForestRegressor(ForestParams params, uint64_t seed)
 }
 
 void RandomForestRegressor::Fit(const Dataset& data) {
-  OPTUM_CHECK(!data.empty());
-  trees_.clear();
-  trees_.reserve(params_.num_trees);
+  ShardCrew caller_only(1);
+  Fit(data, caller_only);
+}
 
+void RandomForestRegressor::Fit(const Dataset& data, ShardCrew& crew) {
+  OPTUM_CHECK(!data.empty());
   TreeParams tree_params = params_.tree;
   if (tree_params.max_features == 0) {
     // Default to the classic ~d/3 heuristic for regression forests.
@@ -24,19 +27,39 @@ void RandomForestRegressor::Fit(const Dataset& data) {
         std::max<size_t>(1, static_cast<size_t>(std::ceil(data.num_features() / 3.0)));
   }
 
+  // Every draw from rng_ happens here, serially and in one-tree-at-a-time
+  // order (seed, then bootstrap, per tree), so tree t depends only on its own
+  // draws and not on which lane fits it or when. Only the stream state each
+  // bootstrap starts from is kept; the lane fitting tree t replays its draws
+  // from that state, so the bootstrap is allocated, used and freed on that
+  // lane alone and no buffer crosses threads.
+  const size_t n = data.size();
+  trees_.clear();
+  std::vector<Rng> bootstrap_starts;
   for (size_t t = 0; t < params_.num_trees; ++t) {
-    auto tree = std::make_unique<DecisionTreeRegressor>(tree_params, rng_.NextU64());
+    trees_.push_back(std::make_unique<DecisionTreeRegressor>(tree_params, rng_.NextU64()));
     if (params_.bootstrap) {
-      std::vector<size_t> indices(data.size());
-      for (auto& idx : indices) {
-        idx = rng_.NextBelow(data.size());
+      bootstrap_starts.push_back(rng_);
+      for (size_t i = 0; i < n; ++i) {
+        rng_.NextBelow(n);
       }
-      tree->FitOnIndices(data, std::move(indices));
-    } else {
-      tree->Fit(data);
     }
-    trees_.push_back(std::move(tree));
   }
+  crew.ParallelFor(
+      trees_.size(),
+      [&](size_t t) {
+        if (!params_.bootstrap) {
+          trees_[t]->Fit(data);
+          return;
+        }
+        Rng draws = bootstrap_starts[t];
+        std::vector<size_t> indices(n);
+        for (auto& idx : indices) {
+          idx = draws.NextBelow(n);
+        }
+        trees_[t]->FitOnIndices(data, std::move(indices));
+      },
+      /*chunk=*/1);
   compiled_ = CompiledForest::Compile(
       *this, {.quantized_thresholds = params_.quantized_inference});
 }

@@ -18,7 +18,11 @@ class RandomForestRegressor : public Regressor {
  public:
   explicit RandomForestRegressor(ForestParams params = {}, uint64_t seed = 1);
 
+  // Fits one tree per ParallelFor index on `crew`; the one-argument
+  // overload runs the same code on the caller alone. Bit-identical for
+  // every crew size.
   void Fit(const Dataset& data) override;
+  void Fit(const Dataset& data, ShardCrew& crew) override;
 
   // Row-at-a-time pointer-tree descent. Kept on the original node layout so
   // it doubles as the reference (and benchmark baseline) the compiled

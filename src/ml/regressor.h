@@ -17,6 +17,10 @@
 #include "src/ml/dataset.h"
 #include "src/ml/model_params.h"
 
+namespace optum {
+class ShardCrew;
+}  // namespace optum
+
 namespace optum::ml {
 
 class Regressor {
@@ -25,6 +29,11 @@ class Regressor {
 
   // Fits the model to the dataset. Must be called before Predict.
   virtual void Fit(const Dataset& data) = 0;
+
+  // Same, spreading independent parts of the fit over `crew`'s lanes; the
+  // model is bit-identical to Fit(data) for every crew size. Models with
+  // nothing to spread (all but the forest) ignore the crew.
+  virtual void Fit(const Dataset& data, ShardCrew& /*crew*/) { Fit(data); }
 
   // Predicts the target for one feature vector.
   virtual double Predict(std::span<const double> features) const = 0;

@@ -2,15 +2,20 @@
 // must be BIT-IDENTICAL to RandomForestRegressor's pointer-tree descent —
 // the scheduler swaps it onto the scoring hot path, so any drift would
 // change placements and break the lane-sharded cache determinism
-// guarantees. Labeled `concurrency` so the tsan/asan-ubsan presets cover
-// the shared-read inference path.
+// guarantees. Training fans a forest's trees out over a ShardCrew, and the
+// fitted trees must not depend on the crew size. Labeled `concurrency` so
+// the tsan/asan-ubsan presets cover the shared-read inference path and the
+// crew fit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/common/shard_crew.h"
 #include "src/ml/compiled_forest.h"
 #include "src/ml/metrics.h"
 #include "src/ml/random_forest.h"
@@ -231,6 +236,106 @@ TEST(CompiledForestTest, ConcurrentReadersGetIdenticalResults) {
   }
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(results[static_cast<size_t>(t)], serial);
+  }
+}
+
+// --- Crew fit: one tree per ParallelFor index ---------------------------------
+
+// The one-tree-at-a-time loop Fit ran before trees moved onto the crew,
+// kept as the reference: per tree, draw its seed, then its bootstrap, then
+// fit it, all from the forest's own stream `rng`.
+std::vector<DecisionTreeRegressor> SerialReferenceTrees(const ForestParams& params,
+                                                        const Dataset& data, Rng& rng) {
+  TreeParams tree_params = params.tree;
+  if (tree_params.max_features == 0) {
+    tree_params.max_features =
+        std::max<size_t>(1, static_cast<size_t>(std::ceil(data.num_features() / 3.0)));
+  }
+  std::vector<DecisionTreeRegressor> trees;
+  for (size_t t = 0; t < params.num_trees; ++t) {
+    DecisionTreeRegressor tree(tree_params, rng.NextU64());
+    if (params.bootstrap) {
+      std::vector<size_t> indices(data.size());
+      for (auto& idx : indices) {
+        idx = rng.NextBelow(data.size());
+      }
+      tree.FitOnIndices(data, std::move(indices));
+    } else {
+      tree.Fit(data);
+    }
+    trees.push_back(std::move(tree));
+  }
+  return trees;
+}
+
+void ExpectSameNodes(const DecisionTreeRegressor& expected, const DecisionTreeRegressor& got,
+                     size_t tree) {
+  ASSERT_EQ(expected.node_count(), got.node_count()) << "tree " << tree;
+  for (size_t i = 0; i < expected.node_count(); ++i) {
+    const DecisionTreeRegressor::Node& a = expected.nodes()[i];
+    const DecisionTreeRegressor::Node& b = got.nodes()[i];
+    ASSERT_EQ(a.feature, b.feature) << "tree " << tree << " node " << i;
+    ASSERT_EQ(a.threshold, b.threshold) << "tree " << tree << " node " << i;
+    ASSERT_EQ(a.left, b.left) << "tree " << tree << " node " << i;
+    ASSERT_EQ(a.right, b.right) << "tree " << tree << " node " << i;
+    ASSERT_EQ(a.value, b.value) << "tree " << tree << " node " << i;
+  }
+}
+
+void ExpectSameTrees(const std::vector<DecisionTreeRegressor>& expected,
+                     const RandomForestRegressor& forest) {
+  ASSERT_EQ(forest.num_trees(), expected.size());
+  for (size_t t = 0; t < expected.size(); ++t) {
+    ExpectSameNodes(expected[t], forest.tree(t), t);
+  }
+}
+
+TEST(ForestCrewFitTest, TreesAndPredictionsIdenticalForEveryCrewSize) {
+  const Dataset d = RandomDataset(61, 400, 5);
+  const std::vector<double> rows = RandomRows(62, 150, 5);
+  for (const bool bootstrap : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "bootstrap=" << bootstrap);
+    ForestParams params;
+    params.bootstrap = bootstrap;
+    RandomForestRegressor caller_only(params, 63);
+    caller_only.Fit(d);
+    std::vector<double> reference(150);
+    caller_only.PredictBatch(rows, 5, reference);
+    for (const size_t lanes : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+      ShardCrew crew(lanes);
+      RandomForestRegressor forest(params, 63);
+      forest.Fit(d, crew);
+      ASSERT_EQ(forest.num_trees(), params.num_trees);
+      for (size_t t = 0; t < forest.num_trees(); ++t) {
+        ExpectSameNodes(caller_only.tree(t), forest.tree(t), t);
+      }
+      std::vector<double> batch(150);
+      forest.PredictBatch(rows, 5, batch);
+      EXPECT_EQ(batch, reference);
+    }
+  }
+}
+
+TEST(ForestCrewFitTest, RefitContinuesTheSerialStream) {
+  // A second Fit on the same forest draws from where the first left rng_,
+  // exactly as the serial loop did, whatever crew each fit runs on.
+  const Dataset first = RandomDataset(71, 300, 4);
+  const Dataset second = RandomDataset(72, 250, 4);
+  const ForestParams params;
+  Rng reference_rng(73);
+  const std::vector<DecisionTreeRegressor> first_trees =
+      SerialReferenceTrees(params, first, reference_rng);
+  const std::vector<DecisionTreeRegressor> second_trees =
+      SerialReferenceTrees(params, second, reference_rng);
+  for (const size_t lanes : {size_t{1}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+    ShardCrew crew(lanes);
+    RandomForestRegressor forest(params, 73);
+    forest.Fit(first, crew);
+    ExpectSameTrees(first_trees, forest);
+    forest.Fit(second, crew);
+    ExpectSameTrees(second_trees, forest);
   }
 }
 

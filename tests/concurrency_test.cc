@@ -27,6 +27,7 @@
 #include "src/sched/baselines.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload_generator.h"
+#include "tests/golden_digest.h"
 #include "tests/sim_test_util.h"
 
 namespace optum {
@@ -325,6 +326,49 @@ TEST(ThreadCountInvarianceTest, SpanLogBitIdenticalAcrossThreadCounts) {
       std::remove(path.c_str());
       ASSERT_EQ(bytes, baseline_bytes)
           << "span stream " << t << " diverged with " << num_threads << " threads";
+    }
+  }
+}
+
+// --- Profile building on a crew ------------------------------------------------
+
+// OfflineProfiler::BuildProfiles fits every forest's trees on a ShardCrew.
+// Each tree's seed and bootstrap are drawn serially, so the profiles must
+// match, bit for bit, the goldens recorded from the serial trainer, at every
+// crew size. With the default min_samples only LS apps get a model; with 10,
+// BE apps both pass and fail the MAPE gate, and each outcome decides what
+// the next app draws from the shared seed stream.
+TEST(ProfileBuildTest, DigestMatchesSerialGoldenForEveryCrewSize) {
+  const Workload workload = MakeWorkload(64, 3 * kTicksPerHour, 23);
+  AlibabaBaseline reference;
+  const SimResult ref = Simulator(workload, MakeSimConfig(), reference).Run();
+  struct Case {
+    size_t min_samples;
+    uint64_t golden;
+  };
+  for (const Case c : {Case{40, 11520544703766457467ULL}, Case{10, 4093536356880073817ULL}}) {
+    SCOPED_TRACE(::testing::Message() << "min_samples=" << c.min_samples);
+    core::OfflineProfilerConfig prof;
+    prof.max_train_samples = 600;
+    prof.min_samples = c.min_samples;
+    const core::OfflineProfiler profiler(prof);
+    for (const size_t lanes : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      ShardCrew crew(lanes);
+      EXPECT_EQ(testing_golden::ProfilesDigest(profiler.BuildProfiles(ref.trace, crew)),
+                c.golden)
+          << lanes << " lanes";
+    }
+    const OptumProfiles profiles = profiler.BuildProfiles(ref.trace);
+    EXPECT_EQ(testing_golden::ProfilesDigest(profiles), c.golden) << "hardware-sized crew";
+    size_t gated = 0;
+    size_t be_models = 0;
+    for (const auto& [id, app] : profiles.apps) {
+      gated += !app.usable() && app.holdout_mape > prof.be_mape_gate ? 1 : 0;
+      be_models += app.usable() && app.stats.slo == SloClass::kBe ? 1 : 0;
+    }
+    if (c.min_samples == 10) {
+      EXPECT_GT(gated, 0u);
+      EXPECT_GT(be_models, 0u);
     }
   }
 }

@@ -4,11 +4,11 @@
 // the caller as lane 0, lane writes are visible to the caller when Run()
 // returns, a one-lane crew starts no thread, destruction joins parked
 // lanes, and a lane's exception reaches the caller instead of terminating
-// the process. ParallelFor, the chunked index loop the simulator's tick runs
-// on, must run every index exactly once, stay reusable over thousands of
-// rounds and propagate a throwing body; a simulator's lanes live and die
-// with it. Labeled `concurrency` so tools/sanitize_runner.sh also runs it
-// under TSan and ASan+UBSan.
+// the process. ParallelFor, the chunked index loop the simulator's tick and
+// the forest fit run on, must run every index exactly once at any chunk
+// size, stay reusable over thousands of rounds and propagate a throwing
+// body; a simulator's lanes live and die with it. Labeled `concurrency` so
+// tools/sanitize_runner.sh also runs it under TSan and ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -202,6 +202,16 @@ TEST(ShardCrewParallelForTest, EveryIndexRunsExactlyOnce) {
       }
     }
   }
+  // Chunk 1 is the forest's shape: 30 heavy trees, one claim each. Plain
+  // slots, each owned by its index.
+  ShardCrew crew(4);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<int> hits(30, 0);
+    crew.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; }, /*chunk=*/1);
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], 1) << "chunk 1, round " << round << ", index " << i;
+    }
+  }
 }
 
 TEST(ShardCrewParallelForTest, ShortRangesRunInlineOnCaller) {
@@ -214,6 +224,18 @@ TEST(ShardCrewParallelForTest, ShortRangesRunInlineOnCaller) {
       ++runs;
     });
     EXPECT_EQ(runs, n);
+  }
+  // A range of one claim runs inline at any chunk size.
+  for (const size_t chunk : {size_t{1}, size_t{16}, size_t{64}}) {
+    size_t runs = 0;
+    crew.ParallelFor(
+        chunk,
+        [&](size_t) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          ++runs;
+        },
+        chunk);
+    EXPECT_EQ(runs, chunk);
   }
 }
 
@@ -265,6 +287,19 @@ TEST(ShardCrewParallelForTest, ThrowingBodyPropagates) {
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()), "index 2");
     }
+  }
+  try {
+    crew.ParallelFor(
+        30,
+        [](size_t i) {
+          if (i == 17) {
+            throw std::runtime_error("index 17");
+          }
+        },
+        /*chunk=*/1);
+    FAIL() << "the exception was lost with chunk 1";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 17");
   }
   // The crew stays usable after a throw.
   std::atomic<int> runs{0};
