@@ -1,10 +1,12 @@
 #include "src/core/interference_predictor.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
+#include <memory>
+#include <span>
 
 #include "src/common/check.h"
-#include "src/obs/timer.h"
+#include "src/common/shard_crew.h"
 
 namespace optum::core {
 
@@ -59,70 +61,63 @@ size_t FillFeatures(const AppModel& model, double host_cpu_util, double host_mem
   return kBeFeatureCount;
 }
 
-// Coarse utilization grid of the slope cache; matches the discretized
-// Predict cache's default (64 buckets over [0, 2]). The slope is flat
-// between tree splits, so a finer grid only multiplies cold misses, and
-// each miss costs two forest evaluations.
-constexpr size_t kSlopeBuckets = 64;
+constexpr size_t kBuckets = InterferenceTable::kBuckets;
+
+// Half-width of the finite difference behind the Eq. 11 marginal slope; a
+// single pod's utilization delta is far below tree granularity.
+constexpr double kSlopeSpan = 0.06;
 
 }  // namespace
 
-InterferencePredictor::InterferencePredictor(const OptumProfiles* profiles,
-                                             size_t cache_buckets,
-                                             bool use_host_app_counts)
-    : profiles_(profiles),
-      cache_buckets_(cache_buckets),
-      use_host_app_counts_(use_host_app_counts),
-      lanes_(1) {
-  OPTUM_CHECK(profiles != nullptr);
-  OPTUM_CHECK_GT(cache_buckets, 0u);
-  RebuildAppIndex();
-}
-
-void InterferencePredictor::set_num_lanes(size_t n) {
-  OPTUM_CHECK_GE(n, 1u);
-  if (n > lanes_.size()) {
-    lanes_.resize(n);
+void InterferencePredictor::FillTables(OptumProfiles* profiles, ShardCrew& crew) {
+  std::vector<AppModel*> models;
+  for (auto& [app, model] : profiles->apps) {
+    if (model.usable() && model.table == nullptr) {
+      models.push_back(&model);
+    }
+  }
+  // One block, allocated here, shared by every app's table through aliasing
+  // pointers; the lanes only write into it.
+  const auto block = std::make_shared<std::vector<InterferenceTable>>(models.size());
+  crew.ParallelFor(
+      models.size(),
+      [&](size_t i) { FillTable(*models[i], &(*block)[i]); },
+      /*chunk=*/1);
+  for (size_t i = 0; i < models.size(); ++i) {
+    models[i]->table = std::shared_ptr<const InterferenceTable>(block, &(*block)[i]);
   }
 }
 
-void InterferencePredictor::RebuildAppIndex() {
-  by_app_.clear();
+InterferencePredictor::InterferencePredictor(const OptumProfiles* profiles,
+                                             bool use_host_app_counts)
+    : profiles_(profiles), use_host_app_counts_(use_host_app_counts) {
+  OPTUM_CHECK(profiles != nullptr);
+  Reload();
+}
+
+void InterferencePredictor::Reload() {
+  tables_.clear();
+  own_tables_.clear();
+  std::vector<std::pair<AppId, const AppModel*>> untabled;
   for (const auto& [app, model] : profiles_->apps) {
-    if (app < 0) {
+    if (app < 0 || !model.usable()) {
       continue;
     }
-    if (static_cast<size_t>(app) >= by_app_.size()) {
-      by_app_.resize(static_cast<size_t>(app) + 1, nullptr);
+    if (static_cast<size_t>(app) >= tables_.size()) {
+      tables_.resize(static_cast<size_t>(app) + 1, nullptr);
     }
-    by_app_[static_cast<size_t>(app)] = &model;
+    if (model.table != nullptr) {
+      tables_[static_cast<size_t>(app)] = model.table.get();
+    } else {
+      untabled.emplace_back(app, &model);
+    }
   }
-  const size_t cells = by_app_.size() * kResidentBuckets * kResidentBuckets;
-  resident_grid_.assign(cells, 0.0);
-  resident_grid_valid_.assign(cells, 0);
-}
-
-InterferencePredictor::CacheStats InterferencePredictor::cache_stats() const {
-  CacheStats stats;
-  for (const LaneCaches& lane : lanes_) {
-    stats.predict_hits += lane.predict_hits;
-    stats.predict_misses += lane.predict_misses;
-    stats.raw_hits += lane.raw_hits;
-    stats.raw_misses += lane.raw_misses;
-    stats.slope_hits += lane.slope_hits;
-    stats.slope_misses += lane.slope_misses;
-  }
-  return stats;
-}
-
-void InterferencePredictor::ClearCache() {
-  for (LaneCaches& lane : lanes_) {
-    lane.cache.Clear();
-    lane.raw_cache.Clear();
-    lane.slope_cache.Clear();
+  own_tables_.resize(untabled.size());
+  for (size_t i = 0; i < untabled.size(); ++i) {
+    FillTable(*untabled[i].second, &own_tables_[i]);
+    tables_[static_cast<size_t>(untabled[i].first)] = &own_tables_[i];
   }
   resident_memo_.clear();  // stored sums embed predictions from the old models
-  RebuildAppIndex();
 }
 
 uint64_t InterferencePredictor::UtilBucket(double v, size_t buckets) {
@@ -135,144 +130,65 @@ double InterferencePredictor::BucketPoint(uint64_t bucket, size_t buckets) {
   return std::min(2.0, (static_cast<double>(bucket) + 0.5) * width);
 }
 
-double InterferencePredictor::PredictImpl(const AppModel& model, double host_cpu_util,
-                                          double host_mem_util) const {
+void InterferencePredictor::FillTable(const AppModel& model, InterferenceTable* table) {
+  OPTUM_CHECK(model.usable());
   // Eq. 9: f_S(C^m_p, M^m_p, POC/Cap, POM/Cap, Q^m) for LS; Eq. 10:
-  // f_B(C^m_q, M^m_q, POC/Cap, POM/Cap) for BE. Evaluated through the batch
-  // interface so forest models dispatch to the compiled SoA engine
-  // (bit-identical to pointer-tree Predict) even for a single row.
-  double row[kLsFeatureCount];
-  const size_t width = FillFeatures(model, host_cpu_util, host_mem_util, row);
-  double out;
-  model.model->PredictBatch(std::span<const double>(row, width), width,
-                            std::span<double>(&out, 1));
-  return out;
-}
+  // f_B(C^m_q, M^m_q, POC/Cap, POM/Cap) for BE. Only the host utilizations
+  // (features 2 and 3) vary across a table.
+  double base[kLsFeatureCount];
+  const std::span<const double> base_row(base,
+                                         FillFeatures(model, 0.0, 0.0, base));
+  constexpr size_t kCpu = 2, kMem = 3;
 
-void InterferencePredictor::PredictRawSpan(AppId app, double cpu_lo, double cpu_hi,
-                                           double mem_util, size_t lane,
-                                           double* out_lo, double* out_hi) const {
-  const AppModel* model = FindModel(app);
-  if (model == nullptr || !model->usable()) {
-    *out_lo = 0.0;
-    *out_hi = 0.0;
-    return;
+  // Predictions: the model at every bucket's canonical point, discretized.
+  std::array<double, kBuckets> points;
+  for (size_t b = 0; b < kBuckets; ++b) {
+    points[b] = BucketPoint(b, kBuckets);
   }
-  // Fine grid (8x the coarse one), exactly as PredictRaw uses it.
-  const size_t buckets = cache_buckets_ * 8;
-  const uint64_t mem_bucket = UtilBucket(mem_util, buckets);
-  const double mem_point = BucketPoint(mem_bucket, buckets);
-  const uint64_t app_key = static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32;
+  model.model->PredictGrid(base_row, kCpu, points, kMem, points, table->predict);
+  for (double& v : table->predict) {
+    v = model.discretizer.ToUpperBound(v);
+  }
 
-  struct Endpoint {
-    uint64_t key;
-    uint64_t cpu_bucket;
-    double* out;
-  };
-  // hi before lo, matching the order the sequential PredictRaw calls used.
-  const Endpoint endpoints[2] = {
-      {app_key | (UtilBucket(cpu_hi, buckets) << 16) | mem_bucket,
-       UtilBucket(cpu_hi, buckets), out_hi},
-      {app_key | (UtilBucket(cpu_lo, buckets) << 16) | mem_bucket,
-       UtilBucket(cpu_lo, buckets), out_lo},
-  };
-
-  LaneCaches& caches = lanes_[lane];
-  double rows[2 * kLsFeatureCount];
-  double batch_out[2];
-  const Endpoint* missed[2];
-  size_t misses = 0;
-  bool alias = false;
-  for (const Endpoint& e : endpoints) {
-    if (const auto cached = caches.raw_cache.Find(e.key)) {
-      ++caches.raw_hits;
-      *e.out = *cached;
-      continue;
-    }
-    if (misses > 0 && e.key == missed[0]->key) {
-      // Both endpoints snapped to one fine-grid bucket (possible only if the
-      // slope span ever drops below the grid width). Sequential evaluation
-      // would hit the freshly inserted value here; mirror that.
-      ++caches.raw_hits;
-      alias = true;
-      continue;
-    }
-    ++caches.raw_misses;
-    missed[misses] = &e;
-    ++misses;
+  // Slopes: a finite difference of the raw (undiscretized) model across
+  // +-kSlopeSpan around each CPU-midpoint bucket's point, with memory at its
+  // bucket's point, every endpoint snapped to a grid 8x finer than the
+  // table's. The high ends are evaluated straight into the table.
+  constexpr size_t kFine = kBuckets * 8;
+  const auto fine_point = [](double v) { return BucketPoint(UtilBucket(v, kFine), kFine); };
+  std::array<double, kBuckets> lo_points, hi_points, mem_points, spans;
+  for (size_t m = 0; m < kBuckets; ++m) {
+    const double lo = std::max(0.0, points[m] - kSlopeSpan);
+    const double hi = points[m] + kSlopeSpan;
+    lo_points[m] = fine_point(lo);
+    hi_points[m] = fine_point(hi);
+    mem_points[m] = fine_point(points[m]);
+    spans[m] = hi - lo;
   }
-  if (misses > 0) {
-    // One batched descent for both cold endpoints. Both rows come from one
-    // model, so the first fill's feature width is the packing stride.
-    const size_t width = FillFeatures(
-        *model, BucketPoint(missed[0]->cpu_bucket, buckets), mem_point, rows);
-    if (misses == 2) {
-      FillFeatures(*model, BucketPoint(missed[1]->cpu_bucket, buckets), mem_point,
-                   rows + width);
-    }
-    model->model->PredictBatch(std::span<const double>(rows, misses * width), width,
-                               std::span<double>(batch_out, misses));
-    for (size_t i = 0; i < misses; ++i) {
-      caches.raw_cache.Insert(missed[i]->key, batch_out[i]);
-      *missed[i]->out = batch_out[i];
-    }
+  std::vector<double> lo_raw(table->slope.size());
+  model.model->PredictGrid(base_row, kCpu, lo_points, kMem, mem_points, lo_raw);
+  model.model->PredictGrid(base_row, kCpu, hi_points, kMem, mem_points, table->slope);
+  for (size_t cell = 0; cell < table->slope.size(); ++cell) {
+    const double span = spans[cell / kBuckets];
+    const double hi_raw = table->slope[cell];
+    table->slope[cell] = span > 1e-9 ? std::max(0.0, (hi_raw - lo_raw[cell]) / span) : 0.0;
   }
-  if (alias) {
-    *endpoints[1].out = *endpoints[0].out;
-  }
-}
-
-double InterferencePredictor::PredictRaw(AppId app, double host_cpu_util,
-                                         double host_mem_util, size_t lane) const {
-  const AppModel* model = FindModel(app);
-  if (model == nullptr || !model->usable()) {
-    return 0.0;
-  }
-  // Fine grid (8x the coarse one) so slope estimation sees real variation.
-  const size_t buckets = cache_buckets_ * 8;
-  const uint64_t cpu_bucket = UtilBucket(host_cpu_util, buckets);
-  const uint64_t mem_bucket = UtilBucket(host_mem_util, buckets);
-  const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) |
-                       (cpu_bucket << 16) | mem_bucket;
-  LaneCaches& caches = lanes_[lane];
-  if (const auto cached = caches.raw_cache.Find(key)) {
-    ++caches.raw_hits;
-    return *cached;
-  }
-  ++caches.raw_misses;
-  const double prediction = PredictImpl(*model, BucketPoint(cpu_bucket, buckets),
-                                        BucketPoint(mem_bucket, buckets));
-  caches.raw_cache.Insert(key, prediction);
-  return prediction;
 }
 
 double InterferencePredictor::Predict(AppId app, double host_cpu_util,
-                                      double host_mem_util, size_t lane) const {
-  const AppModel* model = FindModel(app);
-  if (model == nullptr || !model->usable()) {
+                                      double host_mem_util) const {
+  const InterferenceTable* table = TableOf(app);
+  if (table == nullptr) {
     return 0.0;
   }
-  const uint64_t cpu_bucket = UtilBucket(host_cpu_util, cache_buckets_);
-  const uint64_t mem_bucket = UtilBucket(host_mem_util, cache_buckets_);
-  const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) |
-                       (cpu_bucket << 16) | mem_bucket;
-  LaneCaches& caches = lanes_[lane];
-  if (const auto cached = caches.cache.Find(key)) {
-    ++caches.predict_hits;
-    return *cached;
-  }
-  ++caches.predict_misses;
-  const double prediction = model->discretizer.ToUpperBound(
-      PredictImpl(*model, BucketPoint(cpu_bucket, cache_buckets_),
-                  BucketPoint(mem_bucket, cache_buckets_)));
-  caches.cache.Insert(key, prediction);
-  return prediction;
+  return PredictCell(*table, UtilBucket(host_cpu_util, kBuckets),
+                     UtilBucket(host_mem_util, kBuckets));
 }
 
 double InterferencePredictor::TotalInterference(const Host& host, const PodSpec& incoming,
                                                 double host_cpu_util, double host_mem_util,
-                                                double weight_ls, double weight_be,
-                                                size_t lane) const {
+                                                double weight_ls,
+                                                double weight_be) const {
   if (!use_host_app_counts_) {
     // Baseline path: rebuild the histogram from the pod list per call.
     std::vector<RebuiltAppCount> counts = RebuildCounts(host);
@@ -289,7 +205,7 @@ double InterferencePredictor::TotalInterference(const Host& host, const PodSpec&
     }
     double total = 0.0;
     for (const auto& c : counts) {
-      const double ri = Predict(c.app, host_cpu_util, host_mem_util, lane);
+      const double ri = Predict(c.app, host_cpu_util, host_mem_util);
       if (ri == 0.0) {
         continue;
       }
@@ -308,14 +224,14 @@ double InterferencePredictor::TotalInterference(const Host& host, const PodSpec&
       ++count;
       incoming_merged = true;
     }
-    const double ri = Predict(c.app, host_cpu_util, host_mem_util, lane);
+    const double ri = Predict(c.app, host_cpu_util, host_mem_util);
     if (ri == 0.0) {
       continue;
     }
     total += WeightOf(c.slo, weight_ls, weight_be) * ri * static_cast<double>(count);
   }
   if (!incoming_merged) {
-    const double ri = Predict(incoming.app, host_cpu_util, host_mem_util, lane);
+    const double ri = Predict(incoming.app, host_cpu_util, host_mem_util);
     if (ri != 0.0) {
       total += WeightOf(incoming.slo, weight_ls, weight_be) * ri;
     }
@@ -328,54 +244,36 @@ double InterferencePredictor::ResidentInterference(const Host& host,
                                                    double host_mem_util,
                                                    double weight_ls,
                                                    double weight_be,
-                                                   size_t lane) const {
+                                                   size_t /*lane*/) const {
   // The resident sum feeds a per-host pressure signal that rides an EWMA,
   // so it needs far less utilization resolution than candidate scoring.
   // Inputs are snapped to a deliberately coarse grid (cell centers over
-  // [0, 2]) before prediction: the sweep can then only ever touch
-  // #apps x kResidentBuckets^2 distinct cache keys, so forest evaluations
-  // saturate after a short warmup instead of firing on every utilization
-  // drift, and the memo below keeps hitting while a host's utilization
-  // moves within one cell.
+  // [0, 2]) before prediction, so the memo below keeps hitting while a
+  // host's utilization moves within one cell.
   const uint64_t cpu_bucket = UtilBucket(host_cpu_util, kResidentBuckets);
   const uint64_t mem_bucket = UtilBucket(host_mem_util, kResidentBuckets);
-  const double cpu_q = BucketPoint(cpu_bucket, kResidentBuckets);
-  const double mem_q = BucketPoint(mem_bucket, kResidentBuckets);
-  // Per-(app, cell) value via the flat grid; cold cells go through Predict
-  // once, so every stored value matches the lane-cache path bit for bit.
-  const auto resident_ri = [&](AppId app) {
-    if (app < 0 || static_cast<size_t>(app) >= by_app_.size()) {
-      return 0.0;  // no profile -> Predict would return 0 anyway
-    }
-    const size_t cell =
-        (static_cast<size_t>(app) * kResidentBuckets + cpu_bucket) *
-            kResidentBuckets +
-        mem_bucket;
-    if (resident_grid_valid_[cell]) {
-      return resident_grid_[cell];
-    }
-    const double ri = Predict(app, cpu_q, mem_q, lane);
-    resident_grid_[cell] = ri;
-    resident_grid_valid_[cell] = 1;
-    return ri;
-  };
-  double total = 0.0;
-  if (!use_host_app_counts_) {
-    for (const auto& c : RebuildCounts(host)) {
-      const double ri = resident_ri(c.app);
+  // The table cell Predict reads at the coarse cell's center.
+  const uint64_t cpu_cell = UtilBucket(BucketPoint(cpu_bucket, kResidentBuckets), kBuckets);
+  const uint64_t mem_cell = UtilBucket(BucketPoint(mem_bucket, kResidentBuckets), kBuckets);
+  const auto resident_sum = [&](const auto& counts) {
+    double total = 0.0;
+    for (const auto& c : counts) {
+      const InterferenceTable* table = TableOf(c.app);
+      const double ri = table != nullptr ? PredictCell(*table, cpu_cell, mem_cell) : 0.0;
       if (ri == 0.0) {
         continue;
       }
-      total += WeightOf(c.slo, weight_ls, weight_be) * ri *
-               static_cast<double>(c.count);
+      total += WeightOf(c.slo, weight_ls, weight_be) * ri * static_cast<double>(c.count);
     }
     return total;
+  };
+  if (!use_host_app_counts_) {
+    return resident_sum(RebuildCounts(host));
   }
   // Pressure sweeps revisit every host each sampled tick, but only the
   // handful that placed or evicted pods since the last sweep can produce a
   // different sum: (change_epoch, coarse buckets, weights) fully determines
-  // the result. Memo hits skip the per-app cache walk entirely and are
-  // bit-identical to recomputation by key-purity.
+  // the result.
   ResidentMemo* memo = nullptr;
   if (host.id >= 0) {
     if (static_cast<size_t>(host.id) >= resident_memo_.size()) {
@@ -388,14 +286,7 @@ double InterferencePredictor::ResidentInterference(const Host& host,
       return memo->value;
     }
   }
-  for (const HostAppCount& c : host.app_counts) {
-    const double ri = resident_ri(c.app);
-    if (ri == 0.0) {
-      continue;
-    }
-    total += WeightOf(c.slo, weight_ls, weight_be) * ri *
-             static_cast<double>(c.count);
-  }
+  const double total = resident_sum(host.app_counts);
   if (memo != nullptr) {
     *memo = ResidentMemo{host.change_epoch, cpu_bucket, mem_bucket,
                          weight_ls,         weight_be,  total};
@@ -406,57 +297,28 @@ double InterferencePredictor::ResidentInterference(const Host& host,
 double InterferencePredictor::MarginalInterference(
     const Host& host, const PodSpec& incoming, double cpu_util_before,
     double mem_util_before, double cpu_util_after, double mem_util_after,
-    double weight_ls, double weight_be, size_t lane) const {
-  // Wide-span finite difference: a single pod's utilization delta is far
-  // below tree granularity, so the slope is sampled over +-kSlopeSpan and
-  // rescaled to the actual delta.
-  constexpr double kSlopeSpan = 0.06;
+    double weight_ls, double weight_be) const {
   (void)mem_util_before;  // memory barely moves per placement; see below
   const double cpu_delta = std::max(0.0, cpu_util_after - cpu_util_before);
 
-  // The slope itself is cached per (app, CPU midpoint, memory) on a coarse
-  // grid: evaluating the forest twice per (app, candidate) dominated scoring
-  // cost, and the slope varies on the scale of tree splits, far coarser than
-  // this grid. The finite difference is centered on the before/after CPU
-  // midpoint; memory moves far less than a bucket per placement, so the
-  // post-placement value stands in for both endpoints. Both the midpoint
-  // and the memory value are snapped to their buckets' canonical points
-  // before sampling, so the cached slope — like every other cached value —
-  // is a pure function of its key.
-  const double cpu_mid = 0.5 * (cpu_util_before + cpu_util_after);
-  const uint64_t mid_bucket = UtilBucket(cpu_mid, kSlopeBuckets);
-  const uint64_t mem_bucket = UtilBucket(mem_util_after, kSlopeBuckets);
-  const uint64_t util_key = (mid_bucket << 8) | mem_bucket;
-  const double mid_point = BucketPoint(mid_bucket, kSlopeBuckets);
-  const double mem_point = BucketPoint(mem_bucket, kSlopeBuckets);
-  PredictionCache& slope_cache = lanes_[lane].slope_cache;
-
+  // The slope is tabled per (app, CPU midpoint bucket, memory bucket): it
+  // varies on the scale of tree splits, far coarser than this grid. The
+  // finite difference is centered on the before/after CPU midpoint; memory
+  // moves far less than a bucket per placement, so the post-placement value
+  // stands in for both endpoints.
+  const size_t cell =
+      UtilBucket(0.5 * (cpu_util_before + cpu_util_after), kBuckets) * kBuckets +
+      UtilBucket(mem_util_after, kBuckets);
   const auto slope_term = [&](AppId app, SloClass slo, int count) {
     const double weight = WeightOf(slo, weight_ls, weight_be);
     if (weight == 0.0) {
       return 0.0;
     }
-    const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) | util_key;
-    double slope;
-    if (const auto cached = slope_cache.Find(key)) {
-      ++lanes_[lane].slope_hits;
-      slope = *cached;
-    } else {
-      ++lanes_[lane].slope_misses;
-      // The slope-miss path is where forest evaluations concentrate after
-      // the caches warm up; time it when a sink is attached. Both endpoints
-      // go through one PredictRawSpan call, whose single PredictBatch hands
-      // the compiled forest (exact or quantized, per the model's
-      // ForestParams) both rows at once.
-      obs::ScopedTimer timer(forest_timer_, forest_timer_lane_base_ + lane);
-      const double lo_cpu = std::max(0.0, mid_point - kSlopeSpan);
-      const double hi_cpu = mid_point + kSlopeSpan;
-      double lo, hi;
-      PredictRawSpan(app, lo_cpu, hi_cpu, mem_point, lane, &lo, &hi);
-      const double span = hi_cpu - lo_cpu;
-      slope = span > 1e-9 ? std::max(0.0, (hi - lo) / span) : 0.0;
-      slope_cache.Insert(key, slope);
+    const InterferenceTable* table = TableOf(app);
+    double slope = 0.0;
+    if (table != nullptr) {
+      ++slope_reads_;
+      slope = table->slope[cell];
     }
     return weight * slope * cpu_delta * static_cast<double>(count);
   };
@@ -471,8 +333,7 @@ double InterferencePredictor::MarginalInterference(
     for (const HostAppCount& c : host.app_counts) {
       // Skipping profile-less apps adds exactly 0.0 to the sum, so this
       // fast path cannot change the result.
-      const AppModel* model = FindModel(c.app);
-      if (model == nullptr || !model->usable()) {
+      if (TableOf(c.app) == nullptr) {
         continue;
       }
       total += slope_term(c.app, c.slo, c.count);
@@ -480,7 +341,7 @@ double InterferencePredictor::MarginalInterference(
   }
   // The incoming pod's own interference is its absolute prediction (§4.3.3).
   total += WeightOf(incoming.slo, weight_ls, weight_be) *
-           Predict(incoming.app, cpu_util_after, mem_util_after, lane);
+           Predict(incoming.app, cpu_util_after, mem_util_after);
   return total;
 }
 

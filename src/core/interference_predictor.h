@@ -2,16 +2,10 @@
 // every pod on a candidate host, the interference it would suffer after a
 // new pod is placed there — the profiled PSI for LS pods, the profiled
 // normalized completion time for BE pods. Predictions depend only on the
-// pod's application and the host's predicted utilization, so they are
-// cached per (app, utilization bucket).
-//
-// Every cached value is a pure function of its cache key: the model is
-// evaluated at the bucket's canonical point, not at the raw utilization
-// that happened to trigger the miss. That makes predictions independent of
-// cache history (warm vs cold, cleared vs not) and lets concurrent callers
-// keep one private cache shard per lane while staying bit-identical to a
-// single-lane caller — whichever lane computes a value, it computes the
-// same one.
+// pod's application and the host's predicted utilization bucket, so every
+// value the scheduler reads is precomputed into the application's
+// InterferenceTable when the profiles are built: a prediction or a slope is
+// one indexed load, bit-identical to evaluating the model on demand.
 #ifndef OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 #define OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 
@@ -19,17 +13,20 @@
 #include <limits>
 #include <vector>
 
-#include "src/core/prediction_cache.h"
 #include "src/core/profiles.h"
-#include "src/obs/metrics.h"
 #include "src/sim/cluster.h"
+
+namespace optum {
+class ShardCrew;
+}  // namespace optum
 
 namespace optum::core {
 
 class InterferencePredictor {
  public:
-  // `profiles` must outlive the predictor. cache_buckets controls the
-  // utilization-space granularity of the prediction cache.
+  // `profiles` must outlive the predictor. Usable models without a table
+  // (profiles assembled by hand rather than by OfflineProfiler) get one
+  // filled here, owned by this predictor.
   //
   // use_host_app_counts selects how the per-host application histogram is
   // obtained: true reads Host::app_counts (maintained incrementally by
@@ -37,22 +34,17 @@ class InterferencePredictor {
   // pre-incremental behaviour, kept as the benchmark baseline and for
   // equivalence testing against the incremental structures.
   explicit InterferencePredictor(const OptumProfiles* profiles,
-                                 size_t cache_buckets = 64,
                                  bool use_host_app_counts = true);
-
-  // Creates `n` (>= 1) private cache shards. A `lane` argument below indexes
-  // them; concurrent calls are safe iff they use distinct lanes. Existing
-  // shards keep their contents; results never depend on lane assignment
-  // because cached values are pure functions of their keys.
-  void set_num_lanes(size_t n);
-  size_t num_lanes() const { return lanes_.size(); }
+  // tables_ may point into own_tables_.
+  InterferencePredictor(const InterferencePredictor&) = delete;
+  InterferencePredictor& operator=(const InterferencePredictor&) = delete;
 
   // RI for one pod of application `app` on a host whose predicted CPU/mem
-  // utilizations (POC/Cap, POM/Cap) are given. Returns 0 when the app has
-  // no usable model (no interference information, paper §5.2 optimizes only
+  // utilizations (POC/Cap, POM/Cap) are given: the model at the canonical
+  // point of their bucket, discretized. Returns 0 when the app has no
+  // usable model (no interference information, paper §5.2 optimizes only
   // apps with accurate profiles).
-  double Predict(AppId app, double host_cpu_util, double host_mem_util,
-                 size_t lane = 0) const;
+  double Predict(AppId app, double host_cpu_util, double host_mem_util) const;
 
   // Sum of RI over all pods currently on `host` plus the incoming pod, at
   // the given post-placement utilization (paper Eq. 11, literal form).
@@ -60,18 +52,15 @@ class InterferencePredictor {
   // features are identical), so cost is O(#distinct apps).
   double TotalInterference(const Host& host, const PodSpec& incoming,
                            double host_cpu_util, double host_mem_util,
-                           double weight_ls, double weight_be,
-                           size_t lane = 0) const;
+                           double weight_ls, double weight_be) const;
 
   // Sum of RI over the pods already resident on `host` — no incoming pod —
   // at the host's *current* utilization, snapped to a coarse 8-bucket grid
-  // (the signal rides an EWMA; candidate-scoring resolution would buy
-  // nothing but cache misses). The pressure sensor (DESIGN.md §13) feeds
+  // (the signal rides an EWMA). The pressure sensor (DESIGN.md §13) feeds
   // this into the per-host pressure signal; a per-host memo keyed on
   // (change_epoch, coarse buckets, weights) makes repeated sweeps O(1) per
-  // unchanged host, and every computed value comes from the key-pure lane
-  // cache, so results are independent of cache history and thread count.
-  // Serial callers only (see ResidentMemo below).
+  // unchanged host. `lane` is unused and kept for existing callers. Serial
+  // callers only (see ResidentMemo below).
   double ResidentInterference(const Host& host, double host_cpu_util,
                               double host_mem_util, double weight_ls,
                               double weight_be, size_t lane = 0) const;
@@ -86,108 +75,64 @@ class InterferencePredictor {
   // A single pod shifts host utilization by ~1%, below both the tree
   // granularity of the forest and the output discretization, so the delta
   // is estimated as a finite-difference slope over a wider utilization span
-  // on the raw (undiscretized) model output.
+  // on the raw (undiscretized) model output (InterferenceTable::slope).
   double MarginalInterference(const Host& host, const PodSpec& incoming,
                               double cpu_util_before, double mem_util_before,
                               double cpu_util_after, double mem_util_after,
-                              double weight_ls, double weight_be,
-                              size_t lane = 0) const;
+                              double weight_ls, double weight_be) const;
 
-  // Raw model output (no output discretization), cached on a fine
-  // utilization grid; used for slope estimation.
-  double PredictRaw(AppId app, double host_cpu_util, double host_mem_util,
-                    size_t lane = 0) const;
+  // Re-reads the profiles' models and tables; call after the profiles
+  // object is replaced wholesale.
+  void Reload();
 
-  // Both endpoints of a finite-difference slope in one call: raw model
-  // output at (cpu_lo, mem) and (cpu_hi, mem). Cache-missing endpoints are
-  // gathered into one feature block and evaluated with a single
-  // PredictBatch, so the forest amortizes tree descent across the pair.
-  // Bit-identical to two PredictRaw calls (hi first, then lo).
-  void PredictRawSpan(AppId app, double cpu_lo, double cpu_hi, double mem_util,
-                      size_t lane, double* out_lo, double* out_hi) const;
+  // Sets AppModel::table for every usable model in `profiles` that has
+  // none, one app per crew index. Each table is a pure function of its
+  // model, so the result is the same for every crew size.
+  static void FillTables(OptumProfiles* profiles, ShardCrew& crew);
 
-  // Drops all cached predictions (every lane) and re-syncs the AppId-indexed
-  // model table; call after the profiles object is replaced wholesale.
-  void ClearCache();
-  size_t cache_size() const { return lanes_[0].cache.size(); }
-
-  // Hit/miss tallies of the three caches, maintained unconditionally (each
-  // is one lane-private non-atomic increment on an already-hot line, well
-  // inside the observability overhead budget). Merged across lanes; read
-  // only while no lane is scoring.
+  // Table-read tallies, in the hit/miss shape their readers (the metrics
+  // collector, perfbench) consume: every read is a hit, so the miss and raw
+  // fields stay 0 and no forest is evaluated after set-up. Read only while
+  // no thread is scoring with this predictor.
   struct CacheStats {
     uint64_t predict_hits = 0, predict_misses = 0;
     uint64_t raw_hits = 0, raw_misses = 0;
     uint64_t slope_hits = 0, slope_misses = 0;
-    // Forest evaluations (DecisionTreeRegressor descents) actually run —
-    // every cache miss costs exactly one.
     uint64_t forest_evals() const { return predict_misses + raw_misses; }
-    uint64_t hits() const { return predict_hits + raw_hits + slope_hits; }
-    uint64_t misses() const { return predict_misses + raw_misses + slope_misses; }
   };
-  CacheStats cache_stats() const;
-  // Total misses charged to one lane; the scheduler uses before/after
-  // deltas to tag decision-log candidates with their cache-miss cost.
-  uint64_t lane_misses(size_t lane) const {
-    const LaneCaches& l = lanes_[lane];
-    return l.predict_misses + l.raw_misses + l.slope_misses;
-  }
-
-  // Attaches the forest-evaluation timer: slope-cache misses (two raw-model
-  // evaluations each) record their latency into `sink` at shard
-  // `lane_base + lane`. The sink must have at least lane_base + num_lanes()
-  // shards; nullptr (the default) disables timing entirely.
-  void set_forest_timer(obs::Histogram* sink, size_t lane_base = 0) {
-    forest_timer_ = sink;
-    forest_timer_lane_base_ = lane_base;
+  CacheStats cache_stats() const {
+    return CacheStats{.predict_hits = predict_reads_, .slope_hits = slope_reads_};
   }
 
  private:
-  // One lane's private shard of the three caches. Cache-line aligned so two
-  // lanes' hot metadata (size/mask) never share a line across workers.
-  struct alignas(64) LaneCaches {
-    PredictionCache cache;        // discretized Predict values
-    PredictionCache raw_cache;    // undiscretized PredictRaw values
-    // Finite-difference slopes for MarginalInterference, keyed on (app,
-    // coarse before/after utilization buckets); shared by both histogram
-    // paths so the incremental and rebuild modes stay numerically identical.
-    PredictionCache slope_cache;
-    // Lane-private hit/miss tallies (see CacheStats). Survive Clear() —
-    // they count work over the predictor's lifetime, not cache contents.
-    uint64_t predict_hits = 0, predict_misses = 0;
-    uint64_t raw_hits = 0, raw_misses = 0;
-    uint64_t slope_hits = 0, slope_misses = 0;
-  };
-
-  // Bucket index of a utilization value on a `buckets`-wide grid over [0, 2]
-  // (the packing the cache keys use).
+  // Bucket index of a utilization value on a `buckets`-wide grid over [0, 2].
   static uint64_t UtilBucket(double v, size_t buckets);
   // Canonical evaluation point of a bucket: its center, clamped to [0, 2].
-  // All cache misses for the bucket evaluate the model here, making the
-  // stored value key-pure.
   static double BucketPoint(uint64_t bucket, size_t buckets);
+  // Fills one application's table; `model` must be usable.
+  static void FillTable(const AppModel& model, InterferenceTable* table);
 
-  double PredictImpl(const AppModel& model, double host_cpu_util,
-                     double host_mem_util) const;
-  // Flat-index lookup; AppIds are dense, so this replaces a hash find on
-  // the scoring hot path. Null when the app has no profile.
-  const AppModel* FindModel(AppId app) const {
-    return app >= 0 && static_cast<size_t>(app) < by_app_.size()
-               ? by_app_[static_cast<size_t>(app)]
+  // Flat lookup by AppId (ids are dense); null when the app has no usable
+  // model.
+  const InterferenceTable* TableOf(AppId app) const {
+    return app >= 0 && static_cast<size_t>(app) < tables_.size()
+               ? tables_[static_cast<size_t>(app)]
                : nullptr;
   }
-  void RebuildAppIndex();
+  double PredictCell(const InterferenceTable& table, uint64_t cpu_bucket,
+                     uint64_t mem_bucket) const {
+    ++predict_reads_;
+    return table.predict[cpu_bucket * InterferenceTable::kBuckets + mem_bucket];
+  }
 
   // Per-host memo for ResidentInterference (the DESIGN.md §13 pressure
   // sweep). The weighted sum is a pure function of the host's app_counts
   // histogram — versioned by Host::change_epoch — and the coarse
-  // utilization buckets Predict quantizes its inputs to, so a sweep only
-  // pays the per-app cache walk for hosts that changed since the last one.
-  // Lane is deliberately absent from the key: cached Predict values are
-  // key-pure, so every lane returns the same number. Callers are the serial
-  // pressure paths (simulator tick, placement-service round, bench mirror);
-  // concurrent ResidentInterference calls are NOT safe, matching the
-  // serial-emission contract of the monitor this feeds.
+  // utilization buckets, so a sweep only walks the apps of hosts that
+  // changed since the last one. Callers are the serial pressure paths
+  // (simulator tick, placement-service round, bench mirror); concurrent
+  // ResidentInterference calls are NOT safe, matching the serial-emission
+  // contract of the monitor this feeds.
   struct ResidentMemo {
     uint64_t epoch = std::numeric_limits<uint64_t>::max();  // never a real epoch
     uint64_t cpu_bucket = 0;
@@ -202,28 +147,18 @@ class InterferencePredictor {
   static constexpr size_t kResidentBuckets = 8;
 
   const OptumProfiles* profiles_;
-  size_t cache_buckets_;
   bool use_host_app_counts_;
-  // Pointers into profiles_->apps values; valid until the map is mutated
-  // (profile replacement calls ClearCache, which rebuilds the index).
-  // Read-only during scoring, so safely shared across lanes.
-  std::vector<const AppModel*> by_app_;
-  mutable std::vector<LaneCaches> lanes_;
-  // Indexed by host id, grown on demand; dropped by ClearCache() with the
-  // lane caches (model replacement invalidates every stored sum).
+  // Indexed by AppId; points into the profiles' tables or own_tables_.
+  std::vector<const InterferenceTable*> tables_;
+  // Tables this predictor filled for usable models that came without one.
+  std::vector<InterferenceTable> own_tables_;
+  // Table reads (see CacheStats). One predictor scores on one thread at a
+  // time, so plain counters suffice.
+  mutable uint64_t predict_reads_ = 0;
+  mutable uint64_t slope_reads_ = 0;
+  // Indexed by host id, grown on demand; dropped by Reload() (model
+  // replacement invalidates every stored sum).
   mutable std::vector<ResidentMemo> resident_memo_;
-  // Flat per-app cache over the coarse resident grid: cell
-  // [app * 64 + cpu_bucket * 8 + mem_bucket] holds exactly what
-  // Predict(app, cell center) returns (filled through Predict on first
-  // touch, so values stay bit-identical to the lane-cache path). Turns the
-  // per-app walk for a changed host into direct loads instead of hash
-  // probes. Serial pressure callers only; sized by RebuildAppIndex, cleared
-  // with the lane caches.
-  mutable std::vector<double> resident_grid_;
-  mutable std::vector<uint8_t> resident_grid_valid_;
-  // Nullable observability sink (see set_forest_timer).
-  obs::Histogram* forest_timer_ = nullptr;
-  size_t forest_timer_lane_base_ = 0;
 };
 
 }  // namespace optum::core

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "src/common/check.h"
+#include "src/core/interference_predictor.h"
 #include "src/ml/metrics.h"
 #include "src/stats/descriptive.h"
 
@@ -373,6 +374,7 @@ OptumProfiles OfflineProfiler::BuildProfiles(const TraceBundle& trace, ShardCrew
       profiles.apps.emplace(app_id, std::move(model));
     }
   }
+  InterferencePredictor::FillTables(&profiles, crew);
   return profiles;
 }
 

@@ -80,8 +80,10 @@ class OfflineProfiler {
   // holdout and final model fits on `crew` (a forest spreads its trees over
   // the lanes); the apps themselves are trained in order, because each gate
   // outcome decides what the next app draws from the shared seed stream.
-  // The profiles are bit-identical for every crew size. The one-argument
-  // overload creates a crew with one lane per hardware thread for the call.
+  // Last, every usable model's InterferenceTable is filled on the crew,
+  // one app per index. The profiles are bit-identical for every crew size.
+  // The one-argument overload creates a crew with one lane per hardware
+  // thread for the call.
   OptumProfiles BuildProfiles(const TraceBundle& trace) const;
   OptumProfiles BuildProfiles(const TraceBundle& trace, ShardCrew& crew) const;
 

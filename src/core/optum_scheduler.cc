@@ -15,7 +15,7 @@ OptumScheduler::OptumScheduler(OptumProfiles profiles, OptumConfig config)
                        config.use_triple_ero
                            ? ResourceUsagePredictor::Grouping::kTripleWise
                            : ResourceUsagePredictor::Grouping::kPairwise),
-      interference_predictor_(profiles_.get(), /*cache_buckets=*/64,
+      interference_predictor_(profiles_.get(),
                               /*use_host_app_counts=*/config.use_incremental_cache),
       rng_(config.seed) {
   usage_predictor_.set_cache_enabled(config_.use_incremental_cache);
@@ -82,20 +82,10 @@ PlacementDecision OptumScheduler::PlaceScored(const PodSpec& pod,
   scored_.resize(candidates_.size());
   usage_predictor_.ReserveHosts(cluster.num_hosts());
 
-  // With a decision log attached, each candidate is additionally tagged with
-  // the cache-miss delta its scoring caused — reading a counter, which
-  // cannot perturb the scores themselves.
-  const bool tag_misses = decision_log_ != nullptr;
   {
     obs::ScopedTimer timer(score_timer_, metrics_lane_base_);
     for (size_t i = 0; i < candidates_.size(); ++i) {
-      if (tag_misses) {
-        const uint64_t misses_before = interference_predictor_.lane_misses(0);
-        scored_[i] = EvaluateHost(pod, cluster.host(candidates_[i]));
-        scored_[i].cache_misses = interference_predictor_.lane_misses(0) - misses_before;
-      } else {
-        scored_[i] = EvaluateHost(pod, cluster.host(candidates_[i]));
-      }
+      scored_[i] = EvaluateHost(pod, cluster.host(candidates_[i]));
     }
   }
 
@@ -177,7 +167,6 @@ void OptumScheduler::AttachSinks(const obs::Sinks& sinks, size_t lane_base,
     score_timer_ = nullptr;
     placements_counter_ = nullptr;
     rejections_counter_ = nullptr;
-    interference_predictor_.set_forest_timer(nullptr);
     return;
   }
   registry->set_num_lanes(lane_base + 1);
@@ -185,13 +174,10 @@ void OptumScheduler::AttachSinks(const obs::Sinks& sinks, size_t lane_base,
   score_timer_ = registry->histogram(prefix + ".score_seconds");
   placements_counter_ = registry->counter(prefix + ".placements");
   rejections_counter_ = registry->counter(prefix + ".rejections");
-  interference_predictor_.set_forest_timer(
-      registry->histogram(prefix + ".forest_eval_seconds"), lane_base);
-  // Pull-style cache statistics: refreshed from the predictor's lane-merged
-  // tallies at every registry sample/export, so the per-tick series tracks
-  // hit-rate evolution without per-probe registry calls. The collector
-  // holds a pointer to this scheduler: attach once, and keep the scheduler
-  // alive until the registry's final export.
+  // Pull-style table-read statistics: refreshed from the predictor's
+  // tallies at every registry sample/export, without per-read registry
+  // calls. The collector holds a pointer to this scheduler: attach once,
+  // and keep the scheduler alive until the registry's final export.
   const InterferencePredictor* predictor = &interference_predictor_;
   registry->AddCollector([predictor, prefix](obs::MetricRegistry* r) {
     const InterferencePredictor::CacheStats s = predictor->cache_stats();
@@ -200,13 +186,8 @@ void OptumScheduler::AttachSinks(const obs::Sinks& sinks, size_t lane_base,
       return total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
     };
     r->gauge(prefix + ".pred_cache_hits")->Set(static_cast<double>(s.predict_hits));
-    r->gauge(prefix + ".pred_cache_misses")
-        ->Set(static_cast<double>(s.predict_misses));
     r->gauge(prefix + ".pred_cache_hit_rate")->Set(rate(s.predict_hits, s.predict_misses));
-    r->gauge(prefix + ".raw_cache_hit_rate")->Set(rate(s.raw_hits, s.raw_misses));
     r->gauge(prefix + ".slope_cache_hits")->Set(static_cast<double>(s.slope_hits));
-    r->gauge(prefix + ".slope_cache_misses")
-        ->Set(static_cast<double>(s.slope_misses));
     r->gauge(prefix + ".slope_cache_hit_rate")->Set(rate(s.slope_hits, s.slope_misses));
     r->gauge(prefix + ".forest_evals")->Set(static_cast<double>(s.forest_evals()));
   });
@@ -258,7 +239,6 @@ void OptumScheduler::LogDecision(const PodSpec& pod, const ClusterState& cluster
     c.mem_util = scored_[i].mem_util;
     c.usage_fit = scored_[i].cpu_util * scored_[i].mem_util;
     c.interference = scored_[i].interference;
-    c.cache_misses = scored_[i].cache_misses;
     trace.top.push_back(c);
   }
   decision_log_->Append(trace);
@@ -266,7 +246,7 @@ void OptumScheduler::LogDecision(const PodSpec& pod, const ClusterState& cluster
 
 void OptumScheduler::ReplaceProfiles(OptumProfiles profiles) {
   *profiles_ = std::move(profiles);
-  interference_predictor_.ClearCache();
+  interference_predictor_.Reload();
   // The ERO table and memory profiles changed wholesale (and the fresh
   // table's version counter may collide with the old one), so every cached
   // host baseline is stale.

@@ -104,9 +104,6 @@ class OptumScheduler : public PlacementPolicy {
     double cpu_util = 0.0;
     double mem_util = 0.0;
     double interference = 0.0;
-    // Prediction/slope-cache misses charged while scoring this candidate;
-    // tracked only when a decision log is attached (0 otherwise).
-    uint64_t cache_misses = 0;
   };
   HostEvaluation EvaluateHost(const PodSpec& pod, const Host& host) const;
 
@@ -157,10 +154,10 @@ class OptumScheduler : public PlacementPolicy {
                                         double* best_score);
 
   // Speculation defers span emission to finalize time, which reproduces the
-  // serial span stream exactly — but the decision log additionally tags
-  // per-candidate cache-miss deltas that memoized evaluation would skew, so
-  // a scheduler with a decision log attached declines to speculate (the
-  // coordinator falls back to in-round PlaceScored, which stays
+  // serial span stream exactly — but the decision log records each top
+  // candidate's Eq. 11 term breakdown, which memo-served evaluations do not
+  // keep, so a scheduler with a decision log attached declines to speculate
+  // (the coordinator falls back to in-round PlaceScored, which stays
   // bit-identical and fully logged).
   bool speculation_supported() const { return decision_log_ == nullptr; }
 
@@ -177,7 +174,8 @@ class OptumScheduler : public PlacementPolicy {
   OptumProfiles& mutable_profiles() { return *profiles_; }
 
   // Swaps in freshly trained profiles (background re-profiling, Fig. 17).
-  // Prediction caches are invalidated; in-flight pointers stay valid
+  // The interference predictor re-reads the new tables and every cached
+  // host baseline and memo entry is retired; in-flight pointers stay valid
   // because the profiles object itself is reused.
   void ReplaceProfiles(OptumProfiles profiles);
 
@@ -188,11 +186,10 @@ class OptumScheduler : public PlacementPolicy {
   //
   //   * sinks.metrics — creates the scheduler's metrics under `prefix`:
   //       <prefix>.sample_seconds / .score_seconds   phase histograms
-  //       <prefix>.forest_eval_seconds               slope-cache-miss latency
   //       <prefix>.placements / .rejections          counters
   //       <prefix>.pred_cache_* / .slope_cache_* / .forest_evals
   //           gauges refreshed by a registered collector from the
-  //           predictor's lane-merged CacheStats at every sample/export
+  //           predictor's table-read CacheStats at every sample/export
   //     `lane_base` is the registry shard this scheduler's updates use;
   //     schedulers running concurrently (distributed shards) must use
   //     distinct bases.

@@ -3,6 +3,7 @@
 #ifndef OPTUM_SRC_CORE_PROFILES_H_
 #define OPTUM_SRC_CORE_PROFILES_H_
 
+#include <array>
 #include <memory>
 #include <unordered_map>
 
@@ -27,6 +28,19 @@ struct AppStats {
   size_t sample_count = 0;
 };
 
+// One application's interference model evaluated everywhere the scheduler
+// reads it (DESIGN.md §8). `predict` holds the discretized Eq. 9/10
+// prediction at the canonical point of every (host CPU, host memory)
+// utilization bucket, `slope` the Eq. 11 marginal slope of every (CPU
+// midpoint, memory) bucket, both row-major on a kBuckets-wide grid over
+// [0, 2]. Filled once when the profiles are built and never written again,
+// so every copy of the profiles shares one instance.
+struct InterferenceTable {
+  static constexpr size_t kBuckets = 64;
+  std::array<double, kBuckets * kBuckets> predict;
+  std::array<double, kBuckets * kBuckets> slope;
+};
+
 // A trained per-application interference model (PSI for LS, normalized
 // completion time for BE), plus the discretizer applied to its outputs.
 // The regressor is immutable after training and shared, which makes
@@ -37,6 +51,8 @@ struct AppModel {
   std::shared_ptr<const ml::Regressor> model;  // null when too few samples
   ml::Discretizer discretizer{0.0, 1.0, 25};
   double holdout_mape = -1.0;  // filled by profiling evaluation; <0 unknown
+  // Set for every usable model by OfflineProfiler::BuildProfiles.
+  std::shared_ptr<const InterferenceTable> table;
 
   bool usable() const { return model != nullptr; }
 };

@@ -284,4 +284,82 @@ void CompiledForest::PredictBatch(std::span<const double> rows, size_t stride,
   }
 }
 
+struct CompiledForest::Grid {
+  std::span<const double> base_row;
+  size_t fx;
+  std::span<const double> xs;
+  size_t fy;
+  std::span<const double> ys;
+  double* out;
+};
+
+void CompiledForest::PredictGrid(std::span<const double> base_row, size_t fx,
+                                 std::span<const double> xs, size_t fy,
+                                 std::span<const double> ys, std::span<double> out) const {
+  OPTUM_CHECK(compiled());
+  const size_t width = base_row.size();
+  OPTUM_CHECK(fx != fy && fx < width && fy < width);
+  OPTUM_CHECK_EQ(out.size(), xs.size() * ys.size());
+  const auto sorted_axis = [](std::span<const double> axis) {
+    return std::none_of(axis.begin(), axis.end(), [](double v) { return std::isnan(v); }) &&
+           std::is_sorted(axis.begin(), axis.end());
+  };
+  OPTUM_CHECK(sorted_axis(xs) && sorted_axis(ys));
+  std::fill(out.begin(), out.end(), 0.0);
+  if (out.empty()) {
+    return;
+  }
+  const Grid grid{base_row, fx, xs, fy, ys, out.data()};
+  for (const int32_t root : roots_) {
+    WalkGrid(grid, root, root, 0, xs.size(), 0, ys.size());
+  }
+  for (double& v : out) {
+    v /= static_cast<double>(roots_.size());
+  }
+}
+
+void CompiledForest::WalkGrid(const Grid& grid, int32_t root, int32_t node, size_t x0,
+                              size_t x1, size_t y0, size_t y1) const {
+  for (;;) {
+    const int32_t right = Right(root, node);
+    if (right == node) {
+      const double value = value_[static_cast<size_t>(node)];
+      for (size_t i = x0; i < x1; ++i) {
+        double* const cells = grid.out + i * grid.ys.size();
+        for (size_t j = y0; j < y1; ++j) {
+          cells[j] += value;
+        }
+      }
+      return;
+    }
+    // The descent's comparison: a value goes left iff value <= threshold
+    // (NaN never does).
+    const double threshold = Threshold(node);
+    const auto goes_left = [threshold](double v) { return v <= threshold; };
+    const size_t feature = static_cast<size_t>(feature_[static_cast<size_t>(node)]);
+    if (feature != grid.fx && feature != grid.fy) {
+      node = goes_left(grid.base_row[feature]) ? node + 1 : right;
+      continue;
+    }
+    // A sorted axis goes left up to the first value past the threshold.
+    const bool on_x = feature == grid.fx;
+    const std::span<const double> axis = on_x ? grid.xs : grid.ys;
+    size_t& lo = on_x ? x0 : y0;
+    const size_t hi = on_x ? x1 : y1;
+    const size_t cut = static_cast<size_t>(
+        std::partition_point(axis.begin() + static_cast<ptrdiff_t>(lo),
+                             axis.begin() + static_cast<ptrdiff_t>(hi), goes_left) -
+        axis.begin());
+    if (cut == hi) {
+      node = node + 1;  // the whole range goes left
+      continue;
+    }
+    if (cut > lo) {
+      WalkGrid(grid, root, node + 1, x0, on_x ? cut : x1, y0, on_x ? y1 : cut);
+    }
+    lo = cut;
+    node = right;
+  }
+}
+
 }  // namespace optum::ml

@@ -68,6 +68,15 @@ class CompiledForest final : public Regressor {
   double Predict(std::span<const double> features) const override;
   void PredictBatch(std::span<const double> rows, size_t stride,
                     std::span<double> out) const override;
+  // Walks each tree once over the sorted grid: at a split on fx (fy) the
+  // current x (y) index range is cut where the sorted values pass the
+  // threshold, at any other split the base row picks the branch, and a leaf
+  // adds its value to its whole rectangle of cells. Trees are walked in
+  // order and every cell gets one leaf per tree, so each cell sums exactly
+  // what PredictBatch sums for its row, in the same order. Both layouts.
+  void PredictGrid(std::span<const double> base_row, size_t fx,
+                   std::span<const double> xs, size_t fy, std::span<const double> ys,
+                   std::span<double> out) const override;
   std::string name() const override {
     return quantized_ ? "RF(compiled,q32)" : "RF(compiled)";
   }
@@ -90,6 +99,22 @@ class CompiledForest final : public Regressor {
   // Scalar descent from `root` for one row; returns the leaf node index.
   int32_t DescendExact(int32_t root, const double* row) const;
   int32_t DescendQuantized(int32_t root, const double* row) const;
+
+  // The split at internal node n of the tree rooted at `root`: the layout's
+  // threshold as compared against a row value, and the right child.
+  double Threshold(int32_t n) const {
+    return quantized_ ? static_cast<double>(qthresh_[static_cast<size_t>(n)])
+                      : thresh_[static_cast<size_t>(n)];
+  }
+  int32_t Right(int32_t root, int32_t n) const {
+    return narrow_links() ? root + right16_[static_cast<size_t>(n)]
+                          : right_[static_cast<size_t>(n)];
+  }
+
+  // PredictGrid's walk of the subtree at `node` over cells [x0, x1) x [y0, y1).
+  struct Grid;
+  void WalkGrid(const Grid& grid, int32_t root, int32_t node, size_t x0, size_t x1,
+                size_t y0, size_t y1) const;
 
   // Interleaved descent of W rows (row i at rows + i * stride) down the
   // tree at `root`, accumulating each row's leaf value into acc[i].

@@ -85,4 +85,11 @@ void RandomForestRegressor::PredictBatch(std::span<const double> rows, size_t st
   compiled_.PredictBatch(rows, stride, out);
 }
 
+void RandomForestRegressor::PredictGrid(std::span<const double> base_row, size_t fx,
+                                        std::span<const double> xs, size_t fy,
+                                        std::span<const double> ys,
+                                        std::span<double> out) const {
+  compiled_.PredictGrid(base_row, fx, xs, fy, ys, out);
+}
+
 }  // namespace optum::ml

@@ -37,6 +37,10 @@ class RandomForestRegressor : public Regressor {
   // (interleaved multi-row descent, see CompiledForest).
   void PredictBatch(std::span<const double> rows, size_t stride,
                     std::span<double> out) const override;
+  // Also served by the compiled engine's one-walk-per-tree grid kernel.
+  void PredictGrid(std::span<const double> base_row, size_t fx,
+                   std::span<const double> xs, size_t fy, std::span<const double> ys,
+                   std::span<double> out) const override;
 
   std::string name() const override { return "RF"; }
 

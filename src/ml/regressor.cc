@@ -1,5 +1,8 @@
 #include "src/ml/regressor.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "src/common/check.h"
 #include "src/ml/linear.h"
 #include "src/ml/mlp.h"
@@ -15,6 +18,24 @@ void Regressor::PredictBatch(std::span<const double> rows, size_t stride,
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = Predict(rows.subspan(i * stride, stride));
   }
+}
+
+void Regressor::PredictGrid(std::span<const double> base_row, size_t fx,
+                            std::span<const double> xs, size_t fy,
+                            std::span<const double> ys, std::span<double> out) const {
+  const size_t width = base_row.size();
+  OPTUM_CHECK(fx != fy && fx < width && fy < width);
+  OPTUM_CHECK_EQ(out.size(), xs.size() * ys.size());
+  std::vector<double> rows(out.size() * width);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    for (size_t j = 0; j < ys.size(); ++j) {
+      double* row = rows.data() + (i * ys.size() + j) * width;
+      std::copy(base_row.begin(), base_row.end(), row);
+      row[fx] = xs[i];
+      row[fy] = ys[j];
+    }
+  }
+  PredictBatch(rows, width, out);
 }
 
 const char* ToString(RegressorKind kind) {

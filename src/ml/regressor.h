@@ -46,6 +46,18 @@ class Regressor {
   virtual void PredictBatch(std::span<const double> rows, size_t stride,
                             std::span<double> out) const;
 
+  // Predicts the grid of rows that differ from `base_row` only in features
+  // fx and fy: cell (i, j) sets feature fx to xs[i] and fy to ys[j] and is
+  // written to out[i * ys.size() + j] (out.size() == xs.size() * ys.size(),
+  // fx != fy, both < base_row.size(); the base row's own values at fx and fy
+  // are ignored). xs and ys must be sorted ascending and NaN-free;
+  // duplicates are allowed. Bit-identical to PredictBatch over those rows.
+  // The default builds the rows and calls PredictBatch; the compiled forest
+  // walks each tree once over the whole grid.
+  virtual void PredictGrid(std::span<const double> base_row, size_t fx,
+                           std::span<const double> xs, size_t fy,
+                           std::span<const double> ys, std::span<double> out) const;
+
   virtual std::string name() const = 0;
 };
 

@@ -1,16 +1,31 @@
 #include "src/obs/decision_log.h"
 
 #include "src/obs/json_writer.h"
+#include "src/obs/schema.h"
 
 namespace optum::obs {
 
 DecisionLog::DecisionLog(const std::string& path, size_t top_k)
-    : file_(OpenJsonSink(path)), top_k_(top_k) {}
+    : file_(OpenJsonSink(path)), top_k_(top_k) {
+  if (file_ != nullptr) {
+    const std::string header = RenderHeader();
+    std::fwrite(header.data(), 1, header.size(), file_);
+    std::fputc('\n', file_);
+  }
+}
 
 DecisionLog::~DecisionLog() {
   if (file_ != nullptr) {
     std::fclose(file_);
   }
+}
+
+std::string DecisionLog::RenderHeader() {
+  JsonWriter w;
+  w.BeginObject();
+  w.KV("schema", kDecisionSchema);
+  w.EndObject();
+  return w.TakeString();
 }
 
 std::string DecisionLog::Render(const DecisionTrace& trace) {
@@ -34,7 +49,6 @@ std::string DecisionLog::Render(const DecisionTrace& trace) {
     w.KV("mem_util", c.mem_util);
     w.KV("usage_fit", c.usage_fit);
     w.KV("interference", c.interference);
-    w.KV("cache_misses", c.cache_misses);
     w.EndObject();
   }
   w.EndArray();

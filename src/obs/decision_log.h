@@ -1,10 +1,10 @@
 // Structured per-placement decision log (observability layer, DESIGN.md
-// §9). For every PlaceScored call the scheduler can emit one JSONL record:
-// the pod, how many candidates were sampled and feasible, the chosen host,
-// and the top-k candidates with their Eq. 11 score broken into its terms
-// (usage fit POC/Cap * POM/Cap, weighted interference, and how many
-// prediction-cache misses scoring the candidate cost — a warm candidate
-// logs 0).
+// §9). The JSONL stream opens with one header line carrying the
+// optum.decision.v1 schema tag; then, for every PlaceScored call, the
+// scheduler can emit one record: the pod, how many candidates were sampled
+// and feasible, the chosen host, and the top-k candidates with their Eq. 11
+// score broken into its terms (usage fit POC/Cap * POM/Cap and weighted
+// interference).
 //
 // Records are rendered by the serial reduction phase of PlaceScored, so the
 // log never sees concurrent appends from one scheduler; distinct schedulers
@@ -30,7 +30,6 @@ struct CandidateTrace {
   double mem_util = 0.0;       // predicted post-placement POM/CapM
   double usage_fit = 0.0;      // Eq. 11 first term: cpu_util * mem_util
   double interference = 0.0;   // Eq. 11 weighted interference sum
-  uint64_t cache_misses = 0;   // prediction/slope-cache misses while scoring
 };
 
 struct DecisionTrace {
@@ -48,8 +47,8 @@ struct DecisionTrace {
 
 class DecisionLog {
  public:
-  // Opens `path` for writing (truncates). top_k bounds the per-record
-  // candidate breakdown.
+  // Opens `path` for writing (truncates) and writes the header line. top_k
+  // bounds the per-record candidate breakdown.
   explicit DecisionLog(const std::string& path, size_t top_k = 3);
   ~DecisionLog();
 
@@ -66,6 +65,8 @@ class DecisionLog {
   // The exact line format (without trailing newline); exposed so the golden
   // schema test pins it.
   static std::string Render(const DecisionTrace& trace);
+  // The header line: {"schema":"optum.decision.v1"}.
+  static std::string RenderHeader();
 
  private:
   std::FILE* file_ = nullptr;

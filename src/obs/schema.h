@@ -51,6 +51,11 @@ inline constexpr const char* kSloSchema = "optum.slo.v1";
 // critical-path rows (DESIGN.md §14).
 inline constexpr const char* kProfileSchema = "optum.profile.v1";
 
+// DecisionLog — JSONL per-placement Eq. 11 decision records
+// (`runsim --decision-log`): header line carrying this tag, then one line
+// per PlaceScored call.
+inline constexpr const char* kDecisionSchema = "optum.decision.v1";
+
 struct SchemaInfo {
   const char* tag;
   const char* producer;
@@ -68,6 +73,7 @@ inline constexpr SchemaInfo kSchemas[] = {
     {kHotspotSchema, "HotspotLog / serve_bench --hotspot-log"},
     {kSloSchema, "SloAccumulator::RenderJson / serve_bench --slo-json"},
     {kProfileSchema, "ProfileLog / serve_bench --profile-json"},
+    {kDecisionSchema, "DecisionLog / runsim --decision-log"},
 };
 
 }  // namespace optum::obs

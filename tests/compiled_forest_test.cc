@@ -1,14 +1,15 @@
 // CompiledForest equivalence suite (DESIGN.md §10): the compiled SoA engine
 // must be BIT-IDENTICAL to RandomForestRegressor's pointer-tree descent —
-// the scheduler swaps it onto the scoring hot path, so any drift would
-// change placements and break the lane-sharded cache determinism
-// guarantees. Training fans a forest's trees out over a ShardCrew, and the
-// fitted trees must not depend on the crew size. Labeled `concurrency` so
+// the interference tables are filled through it, so any drift would change
+// placements. PredictGrid, the tables' grid kernel, must be bit-identical
+// to PredictBatch in every layout. Training fans a forest's trees out over
+// a ShardCrew, and the fitted trees must not depend on the crew size. Labeled `concurrency` so
 // the tsan/asan-ubsan presets cover the shared-read inference path and the
 // crew fit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -336,6 +337,132 @@ TEST(ForestCrewFitTest, RefitContinuesTheSerialStream) {
     ExpectSameTrees(first_trees, forest);
     forest.Fit(second, crew);
     ExpectSameTrees(second_trees, forest);
+  }
+}
+
+// --- PredictGrid: one walk per tree over a sorted 2-D grid -------------------
+
+// The rows PredictGrid stands for, predicted through PredictBatch.
+std::vector<double> GridByBatch(const Regressor& model, const std::vector<double>& base,
+                                size_t fx, const std::vector<double>& xs, size_t fy,
+                                const std::vector<double>& ys) {
+  std::vector<double> rows;
+  for (const double x : xs) {
+    for (const double y : ys) {
+      std::vector<double> row = base;
+      row[fx] = x;
+      row[fy] = y;
+      rows.insert(rows.end(), row.begin(), row.end());
+    }
+  }
+  std::vector<double> out(xs.size() * ys.size());
+  model.PredictBatch(rows, base.size(), out);
+  return out;
+}
+
+void ExpectGridMatchesBatch(const Regressor& model, const std::vector<double>& base,
+                            size_t fx, const std::vector<double>& xs, size_t fy,
+                            const std::vector<double>& ys) {
+  std::vector<double> grid(xs.size() * ys.size());
+  model.PredictGrid(base, fx, xs, fy, ys, grid);
+  const std::vector<double> reference = GridByBatch(model, base, fx, xs, fy, ys);
+  for (size_t i = 0; i < grid.size(); ++i) {
+    // Bitwise: tells +0.0 from -0.0, unlike ==.
+    ASSERT_EQ(std::bit_cast<uint64_t>(grid[i]), std::bit_cast<uint64_t>(reference[i]))
+        << model.name() << " cell (" << i / ys.size() << ", " << i % ys.size() << ")";
+  }
+}
+
+// Sorted grid axis over feature f of `forest`: split thresholds on f (every
+// k-th, at most ~40), each with its float32 rounding and the neighbouring
+// doubles (the points where the exact and quantized layouts flip) and a
+// duplicate, plus random points inside and outside the training range.
+std::vector<double> SplitAxis(const RandomForestRegressor& forest, size_t f, uint64_t seed) {
+  std::vector<double> thresholds;
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    for (const DecisionTreeRegressor::Node& n : forest.tree(t).nodes()) {
+      if (n.feature == static_cast<int>(f)) {
+        thresholds.push_back(n.threshold);
+      }
+    }
+  }
+  std::vector<double> axis;
+  const size_t step = thresholds.size() / 40 + 1;
+  for (size_t i = 0; i < thresholds.size(); i += step) {
+    const double th = thresholds[i];
+    const double q = static_cast<double>(static_cast<float>(th));
+    axis.insert(axis.end(), {th, th, q, std::nextafter(th, -INFINITY),
+                             std::nextafter(q, INFINITY)});
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 16; ++i) {
+    axis.push_back(rng.Uniform(-6, 6));
+  }
+  std::sort(axis.begin(), axis.end());
+  return axis;
+}
+
+TEST(PredictGridTest, BitIdenticalToPredictBatchInEveryLayout) {
+  const Dataset d = RandomDataset(81, 300, 4);
+  ForestParams params;
+  params.num_trees = 12;
+  RandomForestRegressor forest(params, 82);
+  forest.Fit(d);
+  const CompiledForest exact = CompiledForest::Compile(forest);
+  const CompiledForest narrow =
+      CompiledForest::Compile(forest, {.quantized_thresholds = true});
+  const CompiledForest wide = CompiledForest::Compile(
+      forest, {.quantized_thresholds = true, .force_wide_links = true});
+  ASSERT_TRUE(narrow.narrow_links());
+  ASSERT_FALSE(wide.narrow_links());
+  const std::vector<double> xs = SplitAxis(forest, 1, 83);
+  const std::vector<double> ys = SplitAxis(forest, 3, 84);
+  ASSERT_GT(xs.size(), 150u);  // the forest really splits on both axes
+  ASSERT_GT(ys.size(), 150u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // The base row's values at fx/fy are ignored; a NaN fixed feature takes
+  // the right branch at every split on it, as in descent.
+  for (const std::vector<double>& base :
+       {std::vector<double>{0.4, nan, -1.2, nan}, std::vector<double>{nan, 0.0, 2.5, 0.0}}) {
+    for (const Regressor* model : {static_cast<const Regressor*>(&forest),
+                                   static_cast<const Regressor*>(&exact),
+                                   static_cast<const Regressor*>(&narrow),
+                                   static_cast<const Regressor*>(&wide)}) {
+      ExpectGridMatchesBatch(*model, base, 1, xs, 3, ys);
+      ExpectGridMatchesBatch(*model, base, 3, ys, 1, xs);  // axes swapped
+    }
+  }
+  // Degenerate grids: one point per axis, and an empty axis.
+  ExpectGridMatchesBatch(forest, {0.1, 0.2, 0.3, 0.4}, 0, {0.5}, 2, {-0.5});
+  std::vector<double> none;
+  forest.PredictGrid(std::vector<double>{0.1, 0.2, 0.3, 0.4}, 0, {}, 2, ys, none);
+}
+
+TEST(PredictGridTest, SingleLeafTrees) {
+  Dataset d(2);
+  for (int i = 0; i < 60; ++i) {
+    d.Add(std::vector<double>{static_cast<double>(i), static_cast<double>(-i)}, 4.25);
+  }
+  ForestParams params;
+  params.num_trees = 5;
+  RandomForestRegressor forest(params, 3);
+  forest.Fit(d);
+  ASSERT_EQ(forest.compiled().num_nodes(), forest.compiled().num_trees());
+  const CompiledForest quantized =
+      CompiledForest::Compile(forest, {.quantized_thresholds = true});
+  const std::vector<double> axis = {-1e9, -1.0, 0.0, 0.0, 3.5, 1e9};
+  ExpectGridMatchesBatch(forest, {0.0, 0.0}, 0, axis, 1, axis);
+  ExpectGridMatchesBatch(quantized, {0.0, 0.0}, 1, axis, 0, axis);
+}
+
+TEST(PredictGridTest, DefaultPathMatchesPredictBatchForOtherFamilies) {
+  const Dataset d = RandomDataset(91, 200, 5);
+  const std::vector<double> xs = {-2.0, -0.5, -0.5, 0.0, 1.25, 4.0};
+  const std::vector<double> ys = {-3.0, 0.1, 0.2, 2.0};
+  for (const RegressorKind kind : {RegressorKind::kLinear, RegressorKind::kMlp}) {
+    const std::unique_ptr<Regressor> model = MakeRegressor(kind, 92);
+    model->Fit(d);
+    ExpectGridMatchesBatch(*model, {0.3, -0.7, 1.1, 0.0, 2.0}, 2, xs, 4, ys);
   }
 }
 

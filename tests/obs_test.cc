@@ -189,7 +189,7 @@ TEST(SchemaTableTest, ListsEveryTagExactlyOnce) {
     EXPECT_NE(s.producer, nullptr);
     tags.emplace_back(s.tag);
   }
-  ASSERT_EQ(tags.size(), 9u);
+  ASSERT_EQ(tags.size(), 10u);
   EXPECT_NE(std::find(tags.begin(), tags.end(), kMetricsSchema), tags.end());
   EXPECT_NE(std::find(tags.begin(), tags.end(), kRunsimSchema), tags.end());
   EXPECT_NE(std::find(tags.begin(), tags.end(), kSummarySchema), tags.end());
@@ -199,6 +199,7 @@ TEST(SchemaTableTest, ListsEveryTagExactlyOnce) {
   EXPECT_NE(std::find(tags.begin(), tags.end(), kHotspotSchema), tags.end());
   EXPECT_NE(std::find(tags.begin(), tags.end(), kSloSchema), tags.end());
   EXPECT_NE(std::find(tags.begin(), tags.end(), kProfileSchema), tags.end());
+  EXPECT_NE(std::find(tags.begin(), tags.end(), kDecisionSchema), tags.end());
   for (const std::string& tag : tags) {
     EXPECT_EQ(tag.rfind("optum.", 0), 0u) << tag;
     // Every tag ends in an explicit version: ".v<digit>".
@@ -210,7 +211,7 @@ TEST(SchemaTableTest, ListsEveryTagExactlyOnce) {
 }
 
 // Registry discipline: every schema in kSchemas[] must have a golden render
-// here, produced by the real exporter, that carries the tag. Adding a tenth
+// here, produced by the real exporter, that carries the tag. Adding an eleventh
 // schema without registering its renderer fails this test — the map is the
 // checklist, not a convention.
 TEST(SchemaTableTest, EveryTagHasAGoldenRender) {
@@ -226,6 +227,7 @@ TEST(SchemaTableTest, EveryTagHasAGoldenRender) {
   goldens[kHotspotSchema] = HotspotLog::RenderHeader();
   goldens[kSloSchema] = SloAccumulator().RenderJson(1.0);
   goldens[kProfileSchema] = ProfileLog::RenderHeader();
+  goldens[kDecisionSchema] = DecisionLog::RenderHeader();
   for (const SchemaInfo& s : kSchemas) {
     const auto it = goldens.find(s.tag);
     ASSERT_NE(it, goldens.end()) << "no golden render registered for " << s.tag;
@@ -317,7 +319,6 @@ DecisionTrace MakeTrace() {
   c.mem_util = 0.75;
   c.usage_fit = 0.375;
   c.interference = 0.125;
-  c.cache_misses = 4;
   trace.top.push_back(c);
   return trace;
 }
@@ -329,7 +330,7 @@ TEST(DecisionLogTest, RenderGolden) {
             "\"sampled\":5,\"feasible\":2,\"chosen\":11,\"score\":0.25,"
             "\"reason\":\"None\",\"top\":[{\"host\":11,\"score\":0.25,"
             "\"cpu_util\":0.5,\"mem_util\":0.75,\"usage_fit\":0.375,"
-            "\"interference\":0.125,\"cache_misses\":4}]}");
+            "\"interference\":0.125}]}");
 }
 
 TEST(DecisionLogTest, AppendWritesOneLinePerRecord) {
@@ -347,8 +348,10 @@ TEST(DecisionLogTest, AppendWritesOneLinePerRecord) {
   contents.resize(std::fread(contents.data(), 1, contents.size(), f));
   std::fclose(f);
   std::remove(path.c_str());
+  // optum.decision.v1: one header line, then one line per record.
+  EXPECT_EQ(DecisionLog::RenderHeader(), "{\"schema\":\"optum.decision.v1\"}");
   const std::string line = DecisionLog::Render(MakeTrace()) + "\n";
-  EXPECT_EQ(contents, line + line);
+  EXPECT_EQ(contents, DecisionLog::RenderHeader() + "\n" + line + line);
 }
 
 }  // namespace

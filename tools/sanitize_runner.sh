@@ -2,7 +2,7 @@
 # Builds the sanitizer presets and runs the `concurrency`- and
 # `observability`-labeled ctest subsets under each — the shard-crew barrier
 # and open ParallelFor rounds, simulator lane invariance, concurrent-scheduler
-# invariance, lane-sharded cache, host-baseline stress, and metrics-registry
+# invariance, interference-table fill, host-baseline stress, and metrics-registry
 # tests that guard the coordinator's shard lanes, the simulator tick's crew
 # and the lane-sharded metric shards.
 #
@@ -14,8 +14,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CONCURRENCY_TARGETS=(concurrency_test cache_property_test sample_hosts_test
-                     perf_equivalence_test sim_property_test obs_test
+CONCURRENCY_TARGETS=(concurrency_test cache_property_test interference_table_test
+                     sample_hosts_test perf_equivalence_test sim_property_test obs_test
                      span_timeseries_test compiled_forest_test
                      forest_quantized_test serve_test serve_pipeline_test
                      latency_percentile_test pressure_slo_test profiler_test
