@@ -389,10 +389,8 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
 
 struct ForestBatchRow {
   size_t batch = 0;
-  double ns_row_compiled = 0.0;   // exact (double) engine
+  double ns_row_compiled = 0.0;
   double speedup = 0.0;           // vs the pointer-tree ns/row of the same forest
-  double ns_row_quantized = 0.0;  // float32-threshold engine
-  double speedup_quantized = 0.0;
 };
 
 struct ForestBench {
@@ -401,17 +399,14 @@ struct ForestBench {
   size_t features = 0;
   size_t rows = 0;
   double ns_row_pointer = 0.0;
-  double quantized_max_abs_err = 0.0;  // vs exact, across all rows
   std::vector<ForestBatchRow> batches;
 };
 
 // Forest inference microbench: one RF trained on contention-style features
 // (utilizations in [0, 1], interference-shaped target), then ns/row of
-// row-at-a-time pointer descent vs the compiled engine — exact and
-// quantized layouts — at several batch sizes. The pointer number is
-// batch-independent, so it is measured once. The exact engine must match
-// the pointer checksum bit-for-bit; the quantized engine reports its max
-// abs deviation instead.
+// row-at-a-time pointer descent vs the compiled engine at several batch
+// sizes. The pointer number is batch-independent, so it is measured once.
+// The compiled engine must match the pointer checksum bit-for-bit.
 ForestBench RunForestBench() {
   constexpr size_t kFeatures = 5;  // Eq. 9 width (LS feature vector)
   constexpr size_t kTrain = 2500;
@@ -432,8 +427,6 @@ ForestBench RunForestBench() {
   ml::RandomForestRegressor forest(ml::ForestParams{}, 7);
   forest.Fit(data);
   const ml::CompiledForest& compiled = forest.compiled();
-  const ml::CompiledForest quantized =
-      ml::CompiledForest::Compile(forest, {.quantized_thresholds = true});
 
   ForestBench bench;
   bench.trees = compiled.num_trees();
@@ -447,7 +440,7 @@ ForestBench RunForestBench() {
   }
 
   // checksum defeats dead-code elimination and doubles as an equivalence
-  // probe: the exact engine must accumulate the same value as pointer
+  // probe: the compiled engine must accumulate the same value as pointer
   // descent bit-for-bit.
   double pointer_checksum = 0.0;
   const auto time_ns_per_row = [&](const auto& body) {
@@ -471,10 +464,6 @@ ForestBench RunForestBench() {
     }
     pointer_checksum = sum;
   });
-
-  // Exact reference outputs for the quantized deviation probe.
-  std::vector<double> exact_out(kRows);
-  compiled.PredictBatch(rows, kFeatures, exact_out);
 
   std::vector<double> out(kRows);
   const auto run_batched = [&](const ml::CompiledForest& engine, size_t batch) {
@@ -501,14 +490,6 @@ ForestBench RunForestBench() {
     row.speedup = row.ns_row_compiled > 0.0
                       ? bench.ns_row_pointer / row.ns_row_compiled
                       : 0.0;
-    row.ns_row_quantized = time_ns_per_row([&] { run_batched(quantized, batch); });
-    for (size_t i = 0; i < kRows; ++i) {
-      bench.quantized_max_abs_err =
-          std::max(bench.quantized_max_abs_err, std::fabs(out[i] - exact_out[i]));
-    }
-    row.speedup_quantized = row.ns_row_quantized > 0.0
-                                ? bench.ns_row_pointer / row.ns_row_quantized
-                                : 0.0;
     bench.batches.push_back(row);
   }
   return bench;
@@ -740,18 +721,16 @@ bool WriteJson(const std::string& path, const std::vector<ScoringRow>& scoring,
   std::fprintf(f,
                "    \"trees\": %zu, \"nodes\": %zu, \"features\": %zu, "
                "\"rows\": %zu,\n    \"ns_row_pointer\": %.1f,\n"
-               "    \"quantized_max_abs_err\": %.3g,\n"
                "    \"batches\": [\n",
                forest.trees, forest.nodes, forest.features, forest.rows,
-               forest.ns_row_pointer, forest.quantized_max_abs_err);
+               forest.ns_row_pointer);
   for (size_t i = 0; i < forest.batches.size(); ++i) {
     const ForestBatchRow& r = forest.batches[i];
     std::fprintf(f,
                  "      {\"batch\": %zu, \"ns_row_compiled\": %.1f, "
-                 "\"speedup\": %.2f, \"ns_row_quantized\": %.1f, "
-                 "\"speedup_quantized\": %.2f}%s\n",
-                 r.batch, r.ns_row_compiled, r.speedup, r.ns_row_quantized,
-                 r.speedup_quantized, i + 1 < forest.batches.size() ? "," : "");
+                 "\"speedup\": %.2f}%s\n",
+                 r.batch, r.ns_row_compiled, r.speedup,
+                 i + 1 < forest.batches.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }\n}\n");
   std::fclose(f);
@@ -843,7 +822,7 @@ int Main(int argc, char** argv) {
   ForestBench forest;
   if (!serve_only) {
     std::printf(
-        "forest inference (pointer vs compiled exact/quantized, batch sweep)...\n");
+        "forest inference (pointer vs compiled, batch sweep)...\n");
     forest = RunForestBench();
   }
 
@@ -895,19 +874,14 @@ int Main(int argc, char** argv) {
   if (forest.trees > 0) {
     // Forest inference: ns/row, so "base" is pointer descent and lower is
     // better — kept in its own table to avoid mixing units with the above.
-    TablePrinter forest_table({"batch", "ptr ns/row", "exact ns/row", "speedup",
-                               "quant ns/row", "speedup"});
+    TablePrinter forest_table({"batch", "ptr ns/row", "compiled ns/row", "speedup"});
     for (const ForestBatchRow& r : forest.batches) {
       forest_table.AddRow({std::to_string(r.batch),
                            FormatDouble(forest.ns_row_pointer, 1),
                            FormatDouble(r.ns_row_compiled, 1),
-                           FormatDouble(r.speedup, 2),
-                           FormatDouble(r.ns_row_quantized, 1),
-                           FormatDouble(r.speedup_quantized, 2)});
+                           FormatDouble(r.speedup, 2)});
     }
     forest_table.Print();
-    std::printf("quantized max abs err vs exact: %.3g\n",
-                forest.quantized_max_abs_err);
   }
 
   return WriteJson(out_path, scoring, ticks, obs, serve, forest, hw_threads) ? 0 : 1;

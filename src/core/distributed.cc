@@ -162,22 +162,19 @@ DistributedOutcome DistributedCoordinator::ScheduleBatch(
           d.decision = shard.PlaceScored(*d.entry.pod, cluster, &d.score);
         }
       }
-      // Speculative top-up: always scoped — empty work at depth 1 or on
-      // speculation-declining shards — so the scope count (active
-      // shard-rounds) is depth-invariant too.
+      // Speculative top-up: always scoped — empty work at depth 1 — so the
+      // scope count (active shard-rounds) is depth-invariant too.
       obs::RoundProfiler::Scope spec_scope(profiler_,
                                            obs::ProfilePhase::kSpecScore, s);
-      if (pipeline_depth_ > 1 && shard.speculation_supported()) {
-        while (pipe.specs.size() + 1 < pipeline_depth_ &&
-               pipe.specs.size() < queues[s].size()) {
-          OptumScheduler::SpeculativeScore spec;
-          if (!pipe.free.empty()) {
-            spec = std::move(pipe.free.back());
-            pipe.free.pop_back();
-          }
-          shard.BeginSpeculative(*queues[s][pipe.specs.size()].pod, cluster, &spec);
-          pipe.specs.push_back(std::move(spec));
+      while (pipe.specs.size() + 1 < pipeline_depth_ &&
+             pipe.specs.size() < queues[s].size()) {
+        OptumScheduler::SpeculativeScore spec;
+        if (!pipe.free.empty()) {
+          spec = std::move(pipe.free.back());
+          pipe.free.pop_back();
         }
+        shard.BeginSpeculative(*queues[s][pipe.specs.size()].pod, cluster, &spec);
+        pipe.specs.push_back(std::move(spec));
       }
     });
     int64_t barrier_ns = 0;

@@ -36,12 +36,11 @@ struct DistributedConfig {
   // Conflict-round pipelining (DESIGN.md §12): with depth D > 1, each shard
   // keeps up to D-1 future head pods speculatively sampled and scored
   // against an epoch-snapshotted host view, and each round merely
-  // revalidates the candidates whose hosts the intervening commits touched
-  // (epoch-stamped evaluation memo) instead of rescoring from scratch.
-  // Placements, scores, spans, and rounds are bit-identical for every
-  // depth (OptumScheduler speculation contract); depth 1 is the classic
-  // score-then-resolve loop. Shards with a decision log attached decline
-  // speculation and fall back to in-round scoring on their own.
+  // re-scores the candidates whose hosts the intervening commits touched
+  // (their change_epoch moved) instead of rescoring from scratch.
+  // Placements, scores, spans, decision records and rounds are
+  // bit-identical for every depth (OptumScheduler speculation contract);
+  // depth 1 is the classic score-then-resolve loop.
   size_t pipeline_depth = 1;
   // Configuration template for each shard scheduler; the seed is salted
   // per shard so the shards sample different host subsets.

@@ -2,34 +2,47 @@
 
 #include <algorithm>
 
+#include "src/common/check.h"
+
 namespace optum {
 
-uint64_t EroTable::Key(AppId a, AppId b) {
-  if (a > b) {
-    std::swap(a, b);
+size_t EroTable::EnsureSlot(AppId app) {
+  OPTUM_CHECK_GE(app, 0);
+  const size_t id = static_cast<size_t>(app);
+  if (id >= slot_of_.size()) {
+    slot_of_.resize(id + 1, -1);
   }
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint64_t>(static_cast<uint32_t>(b));
+  if (slot_of_[id] >= 0) {
+    return static_cast<size_t>(slot_of_[id]);
+  }
+  if (num_slots_ == stride_) {
+    // Double the side and re-lay the occupied rows at the new stride.
+    const size_t stride = std::max<size_t>(16, 2 * stride_);
+    std::vector<double> pairs(stride * stride, kUnobserved);
+    for (size_t r = 0; r < num_slots_; ++r) {
+      std::copy_n(pairs_.data() + r * stride_, num_slots_, pairs.data() + r * stride);
+    }
+    pairs_ = std::move(pairs);
+    stride_ = stride;
+  }
+  slot_of_[id] = static_cast<int32_t>(num_slots_);
+  return num_slots_++;
 }
 
 void EroTable::Observe(AppId a, AppId b, double ratio) {
   ratio = std::clamp(ratio, 0.0, 1.0);
-  auto [it, inserted] = table_.try_emplace(Key(a, b), ratio);
-  if (!inserted && ratio > it->second) {
-    it->second = ratio;
-  } else if (!inserted) {
+  const size_t sa = EnsureSlot(a);
+  const size_t sb = EnsureSlot(b);
+  double& cell = pairs_[sa * stride_ + sb];
+  if (cell >= ratio) {
     return;  // No change: keep cached predictions valid.
   }
+  if (cell < 0.0) {
+    ++pair_count_;
+  }
+  cell = ratio;
+  pairs_[sb * stride_ + sa] = ratio;
   ++version_;
-}
-
-double EroTable::Get(AppId a, AppId b) const {
-  const auto it = table_.find(Key(a, b));
-  return it == table_.end() ? 1.0 : it->second;
-}
-
-bool EroTable::Contains(AppId a, AppId b) const {
-  return table_.find(Key(a, b)) != table_.end();
 }
 
 uint64_t EroTable::TripleKey(AppId a, AppId b, AppId c) {

@@ -79,25 +79,53 @@ PlacementDecision OptumScheduler::PlaceScored(const PodSpec& pod,
     SampleHostsInto(cluster, config_.sample_fraction, config_.min_candidates, rng_,
                     &sample_scratch_, &candidates_);
   }
-  scored_.resize(candidates_.size());
+  ScoreCandidates(pod, cluster, candidates_, /*revalidate=*/false, &epochs_,
+                  &scored_);
+  return ReduceAndLog(pod, cluster, candidates_, scored_, best_score);
+}
+
+void OptumScheduler::ScoreCandidates(const PodSpec& pod,
+                                     const ClusterState& cluster,
+                                     const std::vector<HostId>& candidates,
+                                     bool revalidate,
+                                     std::vector<uint64_t>* epochs,
+                                     std::vector<HostEvaluation>* evals) {
   usage_predictor_.ReserveHosts(cluster.num_hosts());
-
-  {
-    obs::ScopedTimer timer(score_timer_, metrics_lane_base_);
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      scored_[i] = EvaluateHost(pod, cluster.host(candidates_[i]));
+  obs::ScopedTimer timer(score_timer_, metrics_lane_base_);
+  const size_t n = candidates.size();
+  epochs->resize(n);
+  evals->resize(n);
+  // Each evaluation starts with cold loads at scattered addresses: the Host
+  // header (epoch, capacity, pod list), the host's usage baseline and its
+  // app_counts array. Prefetching them ahead overlaps those misses with
+  // the evaluations in between; app_counts is reached through the header,
+  // so it is prefetched nearer, once the header is likely in cache.
+  constexpr size_t kHostAhead = 16;
+  constexpr size_t kCountsAhead = 8;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kHostAhead < n) {
+      const HostId ahead = candidates[i + kHostAhead];
+      __builtin_prefetch(&cluster.host(ahead));
+      usage_predictor_.PrefetchBaseline(ahead);
     }
+    if (i + kCountsAhead < n) {
+      __builtin_prefetch(cluster.host(candidates[i + kCountsAhead]).app_counts.data());
+    }
+    const Host& host = cluster.host(candidates[i]);
+    if (revalidate && host.change_epoch == (*epochs)[i]) {
+      ++evals_kept_;
+      continue;
+    }
+    ++evals_computed_;
+    (*epochs)[i] = host.change_epoch;
+    (*evals)[i] = EvaluateHost(pod, host);
   }
-
-  return ReduceAndLog(pod, cluster, candidates_, scored_, best_score,
-                      /*emit_decision_log=*/true);
 }
 
 PlacementDecision OptumScheduler::ReduceAndLog(
     const PodSpec& pod, const ClusterState& cluster,
     const std::vector<HostId>& candidates,
-    const std::vector<HostEvaluation>& evals, double* best_score,
-    bool emit_decision_log) {
+    const std::vector<HostEvaluation>& evals, double* best_score) {
   // Reduction in candidate order: ties break toward the earlier sampled
   // candidate.
   size_t best = candidates.size();
@@ -144,12 +172,8 @@ PlacementDecision OptumScheduler::ReduceAndLog(
     }
     span_log_->Append(scored_span);
   }
-  // LogDecision reads the candidates_/scored_ members, so the decision log
-  // is only emitted from PlaceScored, where `candidates`/`evals` ARE those
-  // members; speculative finalization never runs with a decision log
-  // attached (speculation_supported() gates it).
-  if (emit_decision_log && decision_log_ != nullptr) {
-    LogDecision(pod, cluster, decision);
+  if (decision_log_ != nullptr) {
+    LogDecision(pod, cluster, candidates, evals, decision);
   }
   return decision;
 }
@@ -194,13 +218,15 @@ void OptumScheduler::AttachSinks(const obs::Sinks& sinks, size_t lane_base,
 }
 
 void OptumScheduler::LogDecision(const PodSpec& pod, const ClusterState& cluster,
+                                 const std::vector<HostId>& candidates,
+                                 const std::vector<HostEvaluation>& evals,
                                  const PlacementDecision& decision) {
   obs::DecisionTrace trace;
   trace.tick = cluster.now();
   trace.pod = pod.id;
   trace.app = pod.app;
   trace.slo = pod.slo;
-  trace.candidates_sampled = candidates_.size();
+  trace.candidates_sampled = candidates.size();
   trace.chosen = decision.host;
   trace.reject_reason = ToString(decision.reason);
 
@@ -209,13 +235,13 @@ void OptumScheduler::LogDecision(const PodSpec& pod, const ClusterState& cluster
   const size_t k = decision_log_->top_k();
   std::vector<size_t> top;
   top.reserve(k + 1);
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    if (!scored_[i].feasible) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!evals[i].feasible) {
       continue;
     }
     ++trace.candidates_feasible;
     size_t pos = top.size();
-    while (pos > 0 && scored_[top[pos - 1]].score < scored_[i].score) {
+    while (pos > 0 && evals[top[pos - 1]].score < evals[i].score) {
       --pos;
     }
     if (pos < k) {
@@ -228,17 +254,18 @@ void OptumScheduler::LogDecision(const PodSpec& pod, const ClusterState& cluster
   // The reduction's winner is always the top-ranked candidate: both orders
   // are by score with ties toward the earlier sample.
   if (decision.placed() && !top.empty()) {
-    trace.chosen_score = scored_[top[0]].score;
+    trace.chosen_score = evals[top[0]].score;
   }
   for (const size_t i : top) {
+    const HostEvaluation& eval = evals[i];
     obs::CandidateTrace c;
-    c.host = candidates_[i];
+    c.host = candidates[i];
     c.feasible = true;
-    c.score = scored_[i].score;
-    c.cpu_util = scored_[i].cpu_util;
-    c.mem_util = scored_[i].mem_util;
-    c.usage_fit = scored_[i].cpu_util * scored_[i].mem_util;
-    c.interference = scored_[i].interference;
+    c.score = eval.score;
+    c.cpu_util = eval.cpu_util;
+    c.mem_util = eval.mem_util;
+    c.usage_fit = eval.cpu_util * eval.mem_util;
+    c.interference = eval.interference;
     trace.top.push_back(c);
   }
   decision_log_->Append(trace);
@@ -251,126 +278,11 @@ void OptumScheduler::ReplaceProfiles(OptumProfiles profiles) {
   // table's version counter may collide with the old one), so every cached
   // host baseline is stale.
   usage_predictor_.InvalidateAll();
-  // Retire every evaluation-memo entry at once: memoized scores depend on
-  // the profile set, and the fresh ERO version may collide with the old.
-  ++memo_generation_;
-}
-
-void OptumScheduler::EnsureMemo(size_t num_hosts) {
-  if (!memo_.empty()) {
-    return;
-  }
-  // ~64 slots per host keeps the direct-mapped collision rate low across
-  // the population of applications scoring each host (the live key set is
-  // hosts × apps, and a single hot collision pair thrashes both keys for
-  // as long as they stay hot); clamped so tiny clusters still get a useful
-  // table and huge ones stay bounded (512Ki entries ≈ 48 MiB — the probe
-  // loop prefetches ahead, so capacity buys hit rate without paying the
-  // extra LLC latency on the critical path).
-  const size_t want = std::clamp<size_t>(num_hosts * 64, size_t{1} << 12,
-                                         size_t{1} << 19);
-  size_t slots = 1;
-  while (slots < want) {
-    slots <<= 1;
-  }
-  memo_.assign(slots, MemoEntry{});
-  memo_mask_ = slots - 1;
-}
-
-OptumScheduler::MemoEntry* OptumScheduler::MemoSlot(HostId host, AppId app) {
-  // Direct-mapped: one multiplicative-hash probe, stale entries overwritten
-  // in place. Collisions only cost a recompute, never a wrong answer (the
-  // entry stores its full key).
-  uint64_t x = (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) ^
-               static_cast<uint64_t>(static_cast<uint32_t>(host));
-  x *= 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 29;
-  return &memo_[static_cast<size_t>(x) & memo_mask_];
-}
-
-void OptumScheduler::ScoreThroughMemo(const PodSpec& pod,
-                                      const ClusterState& cluster,
-                                      const std::vector<HostId>& candidates,
-                                      const std::vector<uint8_t>* skip,
-                                      std::vector<uint64_t>* epochs,
-                                      std::vector<HostEvaluation>* evals) {
-  const size_t n = candidates.size();
-  epochs->resize(n);
-  evals->resize(n);
-  const uint64_t ero_version = profiles_->ero.version();
-
-  // Serial probe pass: collect the indices the memo cannot answer. Each
-  // probe touches two cold lines — a random slot of the multi-MiB memo and
-  // the candidate's Host header for the epoch check — so issue both
-  // prefetches a few iterations ahead; the probe itself is only a handful
-  // of compares and the LLC round-trips would otherwise dominate the hit
-  // path.
-  // Distance tuned for a hit-dominated loop: iterations are ~20 ns of
-  // compares, so 16 ahead covers a full DRAM round-trip on the big table.
-  constexpr size_t kProbeAhead = 16;
-  memo_miss_scratch_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kProbeAhead < n) {
-      const HostId ahead = candidates[i + kProbeAhead];
-      __builtin_prefetch(MemoSlot(ahead, pod.app));
-      __builtin_prefetch(&cluster.host(ahead));
-    }
-    if (skip != nullptr && (*skip)[i] != 0) {
-      continue;  // caller-validated entry, epoch/eval already current
-    }
-    const HostId id = candidates[i];
-    const Host& host = cluster.host(id);
-    (*epochs)[i] = host.change_epoch;
-    const MemoEntry* slot = MemoSlot(id, pod.app);
-    if (slot->host == id && slot->epoch == host.change_epoch &&
-        slot->generation == memo_generation_ &&
-        slot->ero_version == ero_version && slot->app == pod.app &&
-        slot->slo == pod.slo &&
-        slot->max_pods_per_host == pod.max_pods_per_host &&
-        slot->req_cpu == pod.request.cpu && slot->req_mem == pod.request.mem) {
-      ++memo_hits_;
-      // Reconstruct the reduced evaluation; the Eq. 11 breakdown is absent
-      // from the memo by design (see MemoEntry) and unused on this path.
-      HostEvaluation& eval = (*evals)[i];
-      eval = HostEvaluation{};
-      eval.feasible = slot->feasible;
-      eval.cpu_blocked = slot->cpu_blocked;
-      eval.mem_blocked = slot->mem_blocked;
-      eval.score = slot->score;
-    } else {
-      ++memo_misses_;
-      memo_miss_scratch_.push_back(static_cast<uint32_t>(i));
-    }
-  }
-
-  // Evaluate the misses and install them. EvaluateHost is a pure function
-  // of the memo key, so the memo stays bit-identical to uncached evaluation.
-  for (const uint32_t k : memo_miss_scratch_) {
-    (*evals)[k] = EvaluateHost(pod, cluster.host(candidates[k]));
-    const HostId id = candidates[k];
-    MemoEntry* slot = MemoSlot(id, pod.app);
-    slot->host = id;
-    slot->epoch = (*epochs)[k];
-    slot->ero_version = ero_version;
-    slot->generation = memo_generation_;
-    slot->app = pod.app;
-    slot->slo = pod.slo;
-    slot->max_pods_per_host = pod.max_pods_per_host;
-    slot->req_cpu = pod.request.cpu;
-    slot->req_mem = pod.request.mem;
-    const HostEvaluation& eval = (*evals)[k];
-    slot->feasible = eval.feasible;
-    slot->cpu_blocked = eval.cpu_blocked;
-    slot->mem_blocked = eval.mem_blocked;
-    slot->score = eval.score;
-  }
 }
 
 void OptumScheduler::BeginSpeculative(const PodSpec& pod,
                                       const ClusterState& cluster,
                                       SpeculativeScore* out) {
-  OPTUM_CHECK_MSG(speculation_supported(),
-                  "speculative scoring is unavailable with a decision log attached");
   out->pod = pod.id;
   {
     // Exactly the PlaceScored sampling step: one draw from the serial rng_
@@ -380,42 +292,18 @@ void OptumScheduler::BeginSpeculative(const PodSpec& pod,
     SampleHostsInto(cluster, config_.sample_fraction, config_.min_candidates, rng_,
                     &sample_scratch_, &out->candidates);
   }
-  usage_predictor_.ReserveHosts(cluster.num_hosts());
-  EnsureMemo(cluster.num_hosts());
-  obs::ScopedTimer timer(score_timer_, metrics_lane_base_);
-  ScoreThroughMemo(pod, cluster, out->candidates, /*skip=*/nullptr,
-                   &out->epochs, &out->evals);
+  ScoreCandidates(pod, cluster, out->candidates, /*revalidate=*/false,
+                  &out->epochs, &out->evals);
 }
 
 PlacementDecision OptumScheduler::FinalizeSpeculative(const PodSpec& pod,
                                                       const ClusterState& cluster,
                                                       SpeculativeScore* spec,
                                                       double* best_score) {
-  OPTUM_CHECK_MSG(speculation_supported(),
-                  "speculative scoring is unavailable with a decision log attached");
   OPTUM_CHECK_EQ(spec->pod, pod.id);
-  const size_t n = spec->candidates.size();
-  // Revalidate the epoch snapshot: a candidate whose change_epoch still
-  // matches was untouched by every commit since BeginSpeculative (only
-  // commits mutate hosts during a batch), so its evaluation stands.
-  memo_skip_scratch_.assign(n, 1);
-  bool any_stale = false;
-  for (size_t i = 0; i < n; ++i) {
-    if (i + 16 < n) {
-      __builtin_prefetch(&cluster.host(spec->candidates[i + 16]));
-    }
-    if (cluster.host(spec->candidates[i]).change_epoch != spec->epochs[i]) {
-      memo_skip_scratch_[i] = 0;
-      any_stale = true;
-    }
-  }
-  if (any_stale) {
-    obs::ScopedTimer timer(score_timer_, metrics_lane_base_);
-    ScoreThroughMemo(pod, cluster, spec->candidates, &memo_skip_scratch_,
-                     &spec->epochs, &spec->evals);
-  }
-  return ReduceAndLog(pod, cluster, spec->candidates, spec->evals, best_score,
-                      /*emit_decision_log=*/false);
+  ScoreCandidates(pod, cluster, spec->candidates, /*revalidate=*/true,
+                  &spec->epochs, &spec->evals);
+  return ReduceAndLog(pod, cluster, spec->candidates, spec->evals, best_score);
 }
 
 void OptumScheduler::ObserveColocation(const ClusterState& cluster, Tick now) {

@@ -101,6 +101,7 @@ class OptumScheduler : public PlacementPolicy {
     // Eq. 11 term breakdown, kept for the decision log (the values are
     // already in registers when the score is formed, so storing them costs
     // nothing measurable): score = cpu_util * mem_util - interference.
+    // Every evaluation keeps it, speculative ones included.
     double cpu_util = 0.0;
     double mem_util = 0.0;
     double interference = 0.0;
@@ -121,8 +122,9 @@ class OptumScheduler : public PlacementPolicy {
   // the host subset this decision reads. FinalizeSpeculative later
   // re-scores only the candidates whose epoch moved (hosts the intervening
   // commits touched), runs the standard serial reduction, and emits the
-  // same spans/decision records PlaceScored would emit — so the returned
-  // decision is bit-identical to calling PlaceScored at finalize time.
+  // same spans and decision records PlaceScored would emit — so the
+  // returned decision is bit-identical to calling PlaceScored at finalize
+  // time, decision log attached or not.
   struct SpeculativeScore {
     PodId pod = kInvalidPodId;
     std::vector<HostId> candidates;
@@ -139,44 +141,38 @@ class OptumScheduler : public PlacementPolicy {
 
   // Samples and scores `pod` against the current cluster state into *out
   // (reusing its buffers). Advances the sampling stream exactly once, like
-  // PlaceScored; emits no spans or decision records. Requires
-  // speculation_supported().
+  // PlaceScored; emits no spans or decision records.
   void BeginSpeculative(const PodSpec& pod, const ClusterState& cluster,
                         SpeculativeScore* out);
 
   // Validates *spec against the current cluster state (re-scoring epoch-
-  // moved candidates), reduces, emits spans, and returns the decision —
-  // bit-identical to PlaceScored(pod, cluster, best_score) called now.
-  // `pod` must be the spec's pod.
+  // moved candidates), reduces, emits spans and the decision record, and
+  // returns the decision — bit-identical to PlaceScored(pod, cluster,
+  // best_score) called now. `pod` must be the spec's pod.
   PlacementDecision FinalizeSpeculative(const PodSpec& pod,
                                         const ClusterState& cluster,
                                         SpeculativeScore* spec,
                                         double* best_score);
 
-  // Speculation defers span emission to finalize time, which reproduces the
-  // serial span stream exactly — but the decision log records each top
-  // candidate's Eq. 11 term breakdown, which memo-served evaluations do not
-  // keep, so a scheduler with a decision log attached declines to speculate
-  // (the coordinator falls back to in-round PlaceScored, which stays
-  // bit-identical and fully logged).
-  bool speculation_supported() const { return decision_log_ == nullptr; }
-
-  // Epoch-stamped evaluation memo statistics (speculative paths only; the
-  // serial PlaceScored path never consults the memo).
-  uint64_t eval_memo_hits() const { return memo_hits_; }
-  uint64_t eval_memo_misses() const { return memo_misses_; }
+  // Evaluation counters, under the names the benchmark reads. Hits are
+  // speculative evaluations FinalizeSpeculative kept because the host's
+  // change_epoch did not move (0 without speculation); misses are
+  // evaluations computed, on every path.
+  uint64_t eval_memo_hits() const { return evals_kept_; }
+  uint64_t eval_memo_misses() const { return evals_computed_; }
 
   // Scores a single candidate host (Eq. 11); exposed for tests/benches.
   // Returns false when the host is infeasible for the pod.
   bool ScoreHost(const PodSpec& pod, const Host& host, double* score) const;
 
   const OptumProfiles& profiles() const { return *profiles_; }
-  OptumProfiles& mutable_profiles() { return *profiles_; }
 
   // Swaps in freshly trained profiles (background re-profiling, Fig. 17).
-  // The interference predictor re-reads the new tables and every cached
-  // host baseline and memo entry is retired; in-flight pointers stay valid
-  // because the profiles object itself is reused.
+  // The interference predictor re-reads the new tables, the usage predictor
+  // its memory profiles, and every cached host baseline is retired;
+  // in-flight pointers stay valid because the profiles object itself is
+  // reused. Apart from ObserveColocation's ERO observations, this is the
+  // only way the profiles change.
   void ReplaceProfiles(OptumProfiles profiles);
 
   // Unified sink attach (obs::Sinks contract): wires sinks.metrics,
@@ -199,10 +195,8 @@ class OptumScheduler : public PlacementPolicy {
   //     both on the reduction path. Distinct schedulers must use distinct
   //     logs.
   //   * sinks.decision_log — per-placement Eq. 11 JSONL records, written on
-  //     the reduction path of PlaceScored; a scheduler with a
-  //     decision log attached declines speculation (see
-  //     speculation_supported()). Distinct schedulers must use distinct
-  //     logs.
+  //     the reduction path of PlaceScored and FinalizeSpeculative. Distinct
+  //     schedulers must use distinct logs.
   // Placements are unaffected: sinks never feed back into scoring.
   void AttachSinks(const obs::Sinks& sinks) override {
     AttachSinks(sinks, /*lane_base=*/0, /*prefix=*/"optum");
@@ -222,65 +216,30 @@ class OptumScheduler : public PlacementPolicy {
   }
 
  private:
-  // Builds and appends the JSONL record for one PlaceScored outcome; runs
-  // on the serial path after the best-candidate reduction.
+  // Builds and appends the JSONL record for one placement outcome from the
+  // scored candidates; runs on the serial path after the reduction.
   void LogDecision(const PodSpec& pod, const ClusterState& cluster,
+                   const std::vector<HostId>& candidates,
+                   const std::vector<HostEvaluation>& evals,
                    const PlacementDecision& decision);
 
-  // --- Epoch-stamped evaluation memo (speculative paths only) ---
-  //
-  // Same-application pods carry identical specs apart from id/submit time,
-  // and EvaluateHost reads neither — so within one service round many
-  // (pod, host) evaluations are exact repeats of earlier ones against an
-  // unchanged host. The memo is a flat direct-mapped table keyed on every
-  // field the evaluation actually depends on: (host id, change_epoch, app,
-  // slo, request, per-host affinity limit). A hit returns the stored
-  // HostEvaluation, which is bit-identical to recomputing (EvaluateHost is
-  // a pure function of the key). Entries whose host epoch moved simply stop
-  // matching and are overwritten in place — the table needs no invalidation
-  // sweep.
-  // Profile swaps (ReplaceProfiles / online ERO refresh) bump the
-  // generation stamp, which retires every entry at once.
-  // One cache line per entry: the probe loop is DRAM-latency-bound on the
-  // multi-MiB table, so an entry that spans two lines doubles the traffic.
-  // The memoized evaluation is reduced to the fields ReduceAndLog consumes
-  // (feasibility flags + score); the Eq. 11 term breakdown exists only for
-  // the decision log, and a decision log disables speculation entirely
-  // (speculation_supported()), so no memo-served evaluation ever reaches it.
-  struct alignas(64) MemoEntry {
-    uint64_t epoch = 0;
-    uint64_t ero_version = 0;
-    double req_cpu = 0.0;
-    double req_mem = 0.0;
-    double score = 0.0;
-    HostId host = -1;  // -1 = empty slot
-    AppId app = kInvalidAppId;
-    uint32_t generation = 0;
-    int32_t max_pods_per_host = 0;
-    SloClass slo = SloClass::kUnknown;
-    bool feasible = false;
-    bool cpu_blocked = false;
-    bool mem_blocked = false;
-  };
-  static_assert(sizeof(MemoEntry) == 64, "memo entry must stay one line");
+  // The one scoring loop behind PlaceScored, BeginSpeculative and
+  // FinalizeSpeculative: evaluates candidates[i] into (*evals)[i] and
+  // stamps the host's change_epoch into (*epochs)[i]. With `revalidate`,
+  // *epochs and *evals hold an earlier pass over the same candidates, and
+  // a candidate whose epoch still matches keeps its evaluation (only
+  // commits mutate hosts during a batch, so it is still exact).
+  void ScoreCandidates(const PodSpec& pod, const ClusterState& cluster,
+                       const std::vector<HostId>& candidates, bool revalidate,
+                       std::vector<uint64_t>* epochs,
+                       std::vector<HostEvaluation>* evals);
 
-  // Scores candidates[i] for every i in [0, candidates.size()) into
-  // evals/epochs through the memo, skipping indices where `skip` is set
-  // (already valid).
-  void ScoreThroughMemo(const PodSpec& pod, const ClusterState& cluster,
-                        const std::vector<HostId>& candidates,
-                        const std::vector<uint8_t>* skip,
-                        std::vector<uint64_t>* epochs,
-                        std::vector<HostEvaluation>* evals);
-
-  // Reduction + span emission shared by PlaceScored and FinalizeSpeculative.
+  // Reduction, span and decision-record emission shared by PlaceScored and
+  // FinalizeSpeculative.
   PlacementDecision ReduceAndLog(const PodSpec& pod, const ClusterState& cluster,
                                  const std::vector<HostId>& candidates,
                                  const std::vector<HostEvaluation>& evals,
-                                 double* best_score, bool emit_decision_log);
-
-  MemoEntry* MemoSlot(HostId host, AppId app);
-  void EnsureMemo(size_t num_hosts);
+                                 double* best_score);
 
   std::unique_ptr<OptumProfiles> profiles_;
   OptumConfig config_;
@@ -290,21 +249,16 @@ class OptumScheduler : public PlacementPolicy {
   Tick last_observe_ = -1;
 
   // Per-scheduler scratch reused across PlaceScored calls (candidate
-  // sampling working set, sampled candidates, per-candidate evaluations) so
-  // the steady-state hot path allocates nothing.
+  // sampling working set, sampled candidates, their epochs and
+  // evaluations) so the steady-state hot path allocates nothing.
   std::vector<HostId> sample_scratch_;
   std::vector<HostId> candidates_;
+  std::vector<uint64_t> epochs_;
   std::vector<HostEvaluation> scored_;
 
-  // Evaluation memo (lazily sized on first speculative call) + scratch for
-  // the miss indices of one ScoreThroughMemo pass.
-  std::vector<MemoEntry> memo_;
-  size_t memo_mask_ = 0;
-  uint32_t memo_generation_ = 1;
-  uint64_t memo_hits_ = 0;
-  uint64_t memo_misses_ = 0;
-  std::vector<uint32_t> memo_miss_scratch_;
-  std::vector<uint8_t> memo_skip_scratch_;
+  // See eval_memo_hits() / eval_memo_misses().
+  uint64_t evals_kept_ = 0;
+  uint64_t evals_computed_ = 0;
 
   // Observability sinks — all nullable; disabled instrumentation costs one
   // branch per site (DESIGN.md §9).

@@ -10,6 +10,20 @@ ResourceUsagePredictor::ResourceUsagePredictor(const OptumProfiles* profiles,
                                                Grouping grouping)
     : profiles_(profiles), grouping_(grouping) {
   OPTUM_CHECK(profiles != nullptr);
+  LoadMemProfiles();
+}
+
+void ResourceUsagePredictor::LoadMemProfiles() {
+  mem_profile_.clear();
+  for (const auto& [app, model] : profiles_->apps) {
+    if (app < 0) {
+      continue;  // never looked up: MemEstimate treats negative ids as 1.0
+    }
+    if (static_cast<size_t>(app) >= mem_profile_.size()) {
+      mem_profile_.resize(static_cast<size_t>(app) + 1, 1.0);
+    }
+    mem_profile_[static_cast<size_t>(app)] = model.stats.mem_profile;
+  }
 }
 
 double ResourceUsagePredictor::TripleCpuEstimate(AppId a, double ra, AppId b, double rb,
@@ -26,7 +40,8 @@ double ResourceUsagePredictor::TripleCpuEstimate(AppId a, double ra, AppId b, do
   return std::min({ab, bc, ac, sum});
 }
 
-double ResourceUsagePredictor::MemEstimate(AppId app, const Resources& request) const {
+double ResourceUsagePredictor::MemEstimateRescan(AppId app,
+                                                 const Resources& request) const {
   const AppModel* model = profiles_->Find(app);
   const double profile = model != nullptr ? model->stats.mem_profile : 1.0;
   return profile * request.mem;
@@ -63,7 +78,7 @@ Resources ResourceUsagePredictor::PredictHostRescan(const Host& host,
     poc += request_of(i).cpu;  // Odd pod out: full CPU request.
   }
   for (size_t k = 0; k < n; ++k) {
-    pom += MemEstimate(app_of(k), request_of(k));
+    pom += MemEstimateRescan(app_of(k), request_of(k));
   }
   return Resources{poc, pom};
 }
@@ -165,6 +180,9 @@ void ResourceUsagePredictor::ReserveHosts(size_t num_hosts) const {
   }
 }
 
-void ResourceUsagePredictor::InvalidateAll() { ++generation_; }
+void ResourceUsagePredictor::InvalidateAll() {
+  ++generation_;
+  LoadMemProfiles();
+}
 
 }  // namespace optum::core

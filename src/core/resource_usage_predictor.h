@@ -12,8 +12,9 @@
 // appended pod can change), and the memory sum. A cached prediction is the
 // baseline plus an O(1) final-group delta and is bit-identical to a full
 // rescan. Entries are validated against Host::change_epoch (pod placement /
-// removal) and EroTable::version() (online ERO observations); profile swaps
-// must call InvalidateAll().
+// removal) and EroTable::version() (online ERO observations). Memory
+// profiles are read from a flat per-AppId copy of AppStats::mem_profile;
+// profile swaps must call InvalidateAll(), which also rebuilds that copy.
 #ifndef OPTUM_SRC_CORE_RESOURCE_USAGE_PREDICTOR_H_
 #define OPTUM_SRC_CORE_RESOURCE_USAGE_PREDICTOR_H_
 
@@ -54,9 +55,18 @@ class ResourceUsagePredictor {
   // before scoring candidates from multiple threads.
   void ReserveHosts(size_t num_hosts) const;
 
-  // Drops every cached baseline (profile swap: ERO table and memory
-  // profiles may both have changed wholesale).
+  // Drops every cached baseline and re-reads the memory profiles (profile
+  // swap: ERO table and memory profiles may both have changed wholesale).
   void InvalidateAll();
+
+  // Prefetches the cached baseline of host `id` (a hint for scoring loops
+  // that know their next candidates); no effect when the cache is off or
+  // not yet sized for `id`.
+  void PrefetchBaseline(HostId id) const {
+    if (cache_enabled_ && id >= 0 && static_cast<size_t>(id) < cache_.size()) {
+      __builtin_prefetch(&cache_[static_cast<size_t>(id)]);
+    }
+  }
 
   // Disables/enables the baseline cache; disabled mode always rescans.
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
@@ -82,7 +92,20 @@ class ResourceUsagePredictor {
     double tail_cpu[2] = {0.0, 0.0};
   };
 
-  double MemEstimate(AppId app, const Resources& request) const;
+  // mem_profile(app) * Mr from the flat table; apps without a profile
+  // count at their full request.
+  double MemEstimate(AppId app, const Resources& request) const {
+    const double profile =
+        app >= 0 && static_cast<size_t>(app) < mem_profile_.size()
+            ? mem_profile_[static_cast<size_t>(app)]
+            : 1.0;
+    return profile * request.mem;
+  }
+  // The rescan's memory term, read through profiles_->Find so a stale
+  // mem_profile_ shows up as a cached-vs-rescan mismatch.
+  double MemEstimateRescan(AppId app, const Resources& request) const;
+  // Rebuilds mem_profile_ from profiles_->apps.
+  void LoadMemProfiles();
   // Tightest estimate for three pods: the observed triple ERO when
   // available, otherwise min over pairings of ERO(x,y)*(rx+ry) + rz.
   double TripleCpuEstimate(AppId a, double ra, AppId b, double rb, AppId c,
@@ -94,6 +117,8 @@ class ResourceUsagePredictor {
   Grouping grouping_;
   bool cache_enabled_ = true;
   uint64_t generation_ = 0;
+  // AppStats::mem_profile indexed by AppId; 1.0 for ids without a model.
+  std::vector<double> mem_profile_;
   mutable std::vector<HostBaseline> cache_;
 };
 

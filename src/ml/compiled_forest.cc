@@ -22,36 +22,17 @@ constexpr double kLeafThreshold = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
 CompiledForest CompiledForest::Compile(const RandomForestRegressor& forest) {
-  return Compile(forest, Options{});
-}
-
-CompiledForest CompiledForest::Compile(const RandomForestRegressor& forest,
-                                       const Options& options) {
   OPTUM_CHECK_GT(forest.num_trees(), 0u);
   CompiledForest out;
-  out.quantized_ = options.quantized_thresholds;
   size_t total_nodes = 0;
-  size_t max_tree_nodes = 0;
   for (size_t t = 0; t < forest.num_trees(); ++t) {
     total_nodes += forest.tree(t).node_count();
-    max_tree_nodes = std::max(max_tree_nodes, forest.tree(t).node_count());
   }
   out.feature_.reserve(total_nodes);
+  out.thresh_.reserve(total_nodes);
+  out.right_.reserve(total_nodes);
   out.value_.reserve(total_nodes);
   out.roots_.reserve(forest.num_trees());
-  const bool narrow =
-      out.quantized_ && !options.force_wide_links &&
-      max_tree_nodes <= static_cast<size_t>(std::numeric_limits<uint16_t>::max());
-  if (out.quantized_) {
-    out.qthresh_.reserve(total_nodes);
-  } else {
-    out.thresh_.reserve(total_nodes);
-  }
-  if (narrow) {
-    out.right16_.reserve(total_nodes);
-  } else {
-    out.right_.reserve(total_nodes);
-  }
 
   for (size_t t = 0; t < forest.num_trees(); ++t) {
     const std::span<const DecisionTreeRegressor::Node> nodes = forest.tree(t).nodes();
@@ -73,18 +54,8 @@ CompiledForest CompiledForest::Compile(const RandomForestRegressor& forest,
       // descent step goes right), right link = own index. See file comment.
       out.feature_.push_back(leaf ? 0 : n.feature);
       out.value_.push_back(leaf ? n.value : 0.0);
-      const double threshold = leaf ? kLeafThreshold : n.threshold;
-      if (out.quantized_) {
-        out.qthresh_.push_back(static_cast<float>(threshold));
-      } else {
-        out.thresh_.push_back(threshold);
-      }
-      const int32_t right_rel = leaf ? static_cast<int32_t>(i) : n.right;
-      if (narrow) {
-        out.right16_.push_back(static_cast<uint16_t>(right_rel));
-      } else {
-        out.right_.push_back(base + right_rel);
-      }
+      out.thresh_.push_back(leaf ? kLeafThreshold : n.threshold);
+      out.right_.push_back(base + (leaf ? static_cast<int32_t>(i) : n.right));
     }
   }
   return out;
@@ -112,40 +83,11 @@ int32_t CompiledForest::DescendExact(int32_t root, const double* row) const {
   }
 }
 
-int32_t CompiledForest::DescendQuantized(int32_t root, const double* row) const {
-  // The row value stays double and the float32 threshold is promoted (an
-  // exact conversion), so descent differs from exact mode only where the
-  // row lies between a threshold and its float rounding — and never hits
-  // the UB of narrowing an out-of-float-range feature.
-  int32_t node = root;
-  if (narrow_links()) {
-    for (;;) {
-      const int32_t r = root + right16_[static_cast<size_t>(node)];
-      if (r == node) {
-        return node;
-      }
-      const bool go_left =
-          row[feature_[static_cast<size_t>(node)]] <=
-          static_cast<double>(qthresh_[static_cast<size_t>(node)]);
-      node = go_left ? node + 1 : r;
-    }
-  }
-  for (;;) {
-    const int32_t r = right_[static_cast<size_t>(node)];
-    if (r == node) {
-      return node;
-    }
-    const bool go_left = row[feature_[static_cast<size_t>(node)]] <=
-                         static_cast<double>(qthresh_[static_cast<size_t>(node)]);
-    node = go_left ? node + 1 : r;
-  }
-}
-
-// The interleaved kernels below all have the same shape: kInterleave lanes
-// descend one tree in lockstep, one level per iteration. Per level each
-// lane issues independent feature/threshold/right loads (the gather loop),
-// then a fixed-trip compare/select loop the compiler can vectorize picks
-// each lane's next node. Lanes at a leaf self-loop (NaN threshold compares
+// The interleaved kernel: W lanes descend one tree in lockstep, one level
+// per iteration. Per level each lane issues independent
+// feature/threshold/right loads (the gather loop), then a fixed-trip
+// compare/select loop the compiler can vectorize picks each lane's next
+// node. Lanes at a leaf self-loop (NaN threshold compares
 // false, right link points at the node itself), so no per-lane exit
 // branching is needed; the level loop ends when no lane moved. Descending
 // an already-finished lane costs only re-loads of its (L1-hot) leaf entry.
@@ -186,49 +128,11 @@ void CompiledForest::DescendExactBlock(int32_t root, const double* rows,
   }
 }
 
-template <size_t W>
-void CompiledForest::DescendQuantizedBlock(int32_t root, const double* rows,
-                                           size_t stride, double* acc) const {
-  const int32_t* const feat = feature_.data();
-  const float* const th = qthresh_.data();
-  const uint16_t* const rt16 = right16_.empty() ? nullptr : right16_.data();
-  const int32_t* const rt32 = right_.empty() ? nullptr : right_.data();
-  int32_t node[W];
-  for (size_t l = 0; l < W; ++l) {
-    node[l] = root;
-  }
-  for (int32_t moved = 1; moved != 0;) {
-    double x[W];
-    double t[W];
-    int32_t right_next[W];
-    for (size_t l = 0; l < W; ++l) {
-      const int32_t n = node[l];
-      x[l] = rows[l * stride + static_cast<size_t>(feat[n])];
-      t[l] = static_cast<double>(th[n]);  // exact promotion, see DescendQuantized
-      right_next[l] = rt16 != nullptr ? root + rt16[n] : rt32[n];
-    }
-    moved = 0;
-    for (size_t l = 0; l < W; ++l) {
-      // Branchless mask select — see DescendExactBlock.
-      const int32_t take_left = -static_cast<int32_t>(x[l] <= t[l]);
-      const int32_t next =
-          ((node[l] + 1) & take_left) | (right_next[l] & ~take_left);
-      moved |= next ^ node[l];
-      node[l] = next;
-    }
-  }
-  for (size_t l = 0; l < W; ++l) {
-    acc[l] += value_[static_cast<size_t>(node[l])];
-  }
-}
-
 double CompiledForest::Predict(std::span<const double> features) const {
   OPTUM_CHECK(compiled());
   double acc = 0.0;
   for (const int32_t root : roots_) {
-    acc += value_[static_cast<size_t>(quantized_
-                                          ? DescendQuantized(root, features.data())
-                                          : DescendExact(root, features.data()))];
+    acc += value_[static_cast<size_t>(DescendExact(root, features.data()))];
   }
   return acc / static_cast<double>(roots_.size());
 }
@@ -245,37 +149,21 @@ void CompiledForest::PredictBatch(std::span<const double> rows, size_t stride,
     const double* const block = rows.data() + begin * stride;
     // Tree-outer, row-inner: one tree's nodes stay hot across the whole
     // block while groups of kInterleave rows descend it in lockstep. Per
-    // row the accumulation still runs in tree order, so the sum (and thus
-    // the result in exact mode) is bit-identical to row-at-a-time Predict.
+    // row the accumulation still runs in tree order, so the sum is
+    // bit-identical to row-at-a-time Predict.
     for (const int32_t root : roots_) {
       size_t r = 0;
-      if (quantized_) {
-        for (; r + kInterleave <= n; r += kInterleave) {
-          DescendQuantizedBlock<kInterleave>(root, block + r * stride, stride,
-                                             acc.data() + r);
-        }
-        if (r + kHalfInterleave <= n) {
-          DescendQuantizedBlock<kHalfInterleave>(root, block + r * stride,
-                                                 stride, acc.data() + r);
-          r += kHalfInterleave;
-        }
-        for (; r < n; ++r) {
-          acc[r] +=
-              value_[static_cast<size_t>(DescendQuantized(root, block + r * stride))];
-        }
-      } else {
-        for (; r + kInterleave <= n; r += kInterleave) {
-          DescendExactBlock<kInterleave>(root, block + r * stride, stride,
-                                         acc.data() + r);
-        }
-        if (r + kHalfInterleave <= n) {
-          DescendExactBlock<kHalfInterleave>(root, block + r * stride, stride,
-                                             acc.data() + r);
-          r += kHalfInterleave;
-        }
-        for (; r < n; ++r) {
-          acc[r] += value_[static_cast<size_t>(DescendExact(root, block + r * stride))];
-        }
+      for (; r + kInterleave <= n; r += kInterleave) {
+        DescendExactBlock<kInterleave>(root, block + r * stride, stride,
+                                       acc.data() + r);
+      }
+      if (r + kHalfInterleave <= n) {
+        DescendExactBlock<kHalfInterleave>(root, block + r * stride, stride,
+                                           acc.data() + r);
+        r += kHalfInterleave;
+      }
+      for (; r < n; ++r) {
+        acc[r] += value_[static_cast<size_t>(DescendExact(root, block + r * stride))];
       }
     }
     for (size_t r = 0; r < n; ++r) {
@@ -311,17 +199,17 @@ void CompiledForest::PredictGrid(std::span<const double> base_row, size_t fx,
   }
   const Grid grid{base_row, fx, xs, fy, ys, out.data()};
   for (const int32_t root : roots_) {
-    WalkGrid(grid, root, root, 0, xs.size(), 0, ys.size());
+    WalkGrid(grid, root, 0, xs.size(), 0, ys.size());
   }
   for (double& v : out) {
     v /= static_cast<double>(roots_.size());
   }
 }
 
-void CompiledForest::WalkGrid(const Grid& grid, int32_t root, int32_t node, size_t x0,
-                              size_t x1, size_t y0, size_t y1) const {
+void CompiledForest::WalkGrid(const Grid& grid, int32_t node, size_t x0, size_t x1,
+                              size_t y0, size_t y1) const {
   for (;;) {
-    const int32_t right = Right(root, node);
+    const int32_t right = right_[static_cast<size_t>(node)];
     if (right == node) {
       const double value = value_[static_cast<size_t>(node)];
       for (size_t i = x0; i < x1; ++i) {
@@ -334,7 +222,7 @@ void CompiledForest::WalkGrid(const Grid& grid, int32_t root, int32_t node, size
     }
     // The descent's comparison: a value goes left iff value <= threshold
     // (NaN never does).
-    const double threshold = Threshold(node);
+    const double threshold = thresh_[static_cast<size_t>(node)];
     const auto goes_left = [threshold](double v) { return v <= threshold; };
     const size_t feature = static_cast<size_t>(feature_[static_cast<size_t>(node)]);
     if (feature != grid.fx && feature != grid.fy) {
@@ -355,7 +243,7 @@ void CompiledForest::WalkGrid(const Grid& grid, int32_t root, int32_t node, size
       continue;
     }
     if (cut > lo) {
-      WalkGrid(grid, root, node + 1, x0, on_x ? cut : x1, y0, on_x ? y1 : cut);
+      WalkGrid(grid, node + 1, x0, on_x ? cut : x1, y0, on_x ? y1 : cut);
     }
     lo = cut;
     node = right;

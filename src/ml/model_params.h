@@ -26,11 +26,6 @@ struct ForestParams {
   // When true each tree trains on a bootstrap resample; otherwise all trees
   // see the full data (pure feature-subsampled ensemble).
   bool bootstrap = true;
-  // Selects the quantized compiled-inference layout (float32 thresholds,
-  // 16-bit node links where trees fit): ~40% smaller descent footprint,
-  // predictions within a small tolerance of — not bit-identical to — the
-  // default exact engine. Training is unaffected. See CompiledForest.
-  bool quantized_inference = false;
 };
 
 struct MlpParams {

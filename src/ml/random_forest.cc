@@ -60,18 +60,11 @@ void RandomForestRegressor::Fit(const Dataset& data, ShardCrew& crew) {
         trees_[t]->FitOnIndices(data, std::move(indices));
       },
       /*chunk=*/1);
-  compiled_ = CompiledForest::Compile(
-      *this, {.quantized_thresholds = params_.quantized_inference});
+  compiled_ = CompiledForest::Compile(*this);
 }
 
 double RandomForestRegressor::Predict(std::span<const double> features) const {
   OPTUM_CHECK(!trees_.empty());
-  // Quantized mode delegates to the compiled engine so Predict and
-  // PredictBatch stay mutually bit-identical (the Regressor contract);
-  // pointer descent remains the reference for the default exact mode.
-  if (compiled_.quantized()) {
-    return compiled_.Predict(features);
-  }
   double acc = 0.0;
   for (const auto& tree : trees_) {
     acc += tree->Predict(features);

@@ -26,10 +26,7 @@ class RandomForestRegressor : public Regressor {
 
   // Row-at-a-time pointer-tree descent. Kept on the original node layout so
   // it doubles as the reference (and benchmark baseline) the compiled
-  // engine's bit-identity is verified against. When
-  // ForestParams::quantized_inference is set, this delegates to the
-  // quantized compiled engine instead, so Predict and PredictBatch remain
-  // mutually bit-identical (only tolerance-close to exact mode).
+  // engine's bit-identity is verified against.
   double Predict(std::span<const double> features) const override;
 
   // Served by the compiled SoA engine built at the end of Fit();

@@ -1,12 +1,13 @@
 // Structured per-placement decision log (observability layer, DESIGN.md
 // §9). The JSONL stream opens with one header line carrying the
-// optum.decision.v1 schema tag; then, for every PlaceScored call, the
+// optum.decision.v1 schema tag; then, for every placement decision
+// (PlaceScored, or FinalizeSpeculative in pipelined rounds), the
 // scheduler can emit one record: the pod, how many candidates were sampled
 // and feasible, the chosen host, and the top-k candidates with their Eq. 11
 // score broken into its terms (usage fit POC/Cap * POM/Cap and weighted
 // interference).
 //
-// Records are rendered by the serial reduction phase of PlaceScored, so the
+// Records are rendered by the scheduler's serial reduction phase, so the
 // log never sees concurrent appends from one scheduler; distinct schedulers
 // must use distinct logs. A null DecisionLog* disables logging at the cost
 // of one branch.

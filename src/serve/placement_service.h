@@ -163,9 +163,8 @@ class PlacementService {
   //     and closes each conflict round. The caller owns the profiler and
   //     calls Finalize() on it after the last round.
   // Other fields are ignored here (attach a decision log per shard via
-  // coordinator().shard(i) — which also disables that shard's speculation —
-  // and a hotspot log via the pressure monitor). Fields left nullptr
-  // detach.
+  // coordinator().shard(i), and a hotspot log via the pressure monitor).
+  // Fields left nullptr detach.
   void AttachSinks(const obs::Sinks& sinks);
 
   // Host-pressure monitor (DESIGN.md §13; nullptr detaches). At the end of

@@ -2,8 +2,9 @@
 // must be BIT-IDENTICAL to RandomForestRegressor's pointer-tree descent —
 // the interference tables are filled through it, so any drift would change
 // placements. PredictGrid, the tables' grid kernel, must be bit-identical
-// to PredictBatch in every layout. Training fans a forest's trees out over
-// a ShardCrew, and the fitted trees must not depend on the crew size. Labeled `concurrency` so
+// to PredictBatch, through the forest and through a standalone compiled
+// engine. Training fans a forest's trees out over a ShardCrew, and the
+// fitted trees must not depend on the crew size. Labeled `concurrency` so
 // the tsan/asan-ubsan presets cover the shared-read inference path and the
 // crew fit.
 #include <gtest/gtest.h>
@@ -374,9 +375,9 @@ void ExpectGridMatchesBatch(const Regressor& model, const std::vector<double>& b
 }
 
 // Sorted grid axis over feature f of `forest`: split thresholds on f (every
-// k-th, at most ~40), each with its float32 rounding and the neighbouring
-// doubles (the points where the exact and quantized layouts flip) and a
-// duplicate, plus random points inside and outside the training range.
+// k-th, at most ~40), each with its float32 rounding, the neighbouring
+// doubles and a duplicate, plus random points inside and outside the
+// training range.
 std::vector<double> SplitAxis(const RandomForestRegressor& forest, size_t f, uint64_t seed) {
   std::vector<double> thresholds;
   for (size_t t = 0; t < forest.num_trees(); ++t) {
@@ -409,12 +410,6 @@ TEST(PredictGridTest, BitIdenticalToPredictBatchInEveryLayout) {
   RandomForestRegressor forest(params, 82);
   forest.Fit(d);
   const CompiledForest exact = CompiledForest::Compile(forest);
-  const CompiledForest narrow =
-      CompiledForest::Compile(forest, {.quantized_thresholds = true});
-  const CompiledForest wide = CompiledForest::Compile(
-      forest, {.quantized_thresholds = true, .force_wide_links = true});
-  ASSERT_TRUE(narrow.narrow_links());
-  ASSERT_FALSE(wide.narrow_links());
   const std::vector<double> xs = SplitAxis(forest, 1, 83);
   const std::vector<double> ys = SplitAxis(forest, 3, 84);
   ASSERT_GT(xs.size(), 150u);  // the forest really splits on both axes
@@ -425,9 +420,7 @@ TEST(PredictGridTest, BitIdenticalToPredictBatchInEveryLayout) {
   for (const std::vector<double>& base :
        {std::vector<double>{0.4, nan, -1.2, nan}, std::vector<double>{nan, 0.0, 2.5, 0.0}}) {
     for (const Regressor* model : {static_cast<const Regressor*>(&forest),
-                                   static_cast<const Regressor*>(&exact),
-                                   static_cast<const Regressor*>(&narrow),
-                                   static_cast<const Regressor*>(&wide)}) {
+                                   static_cast<const Regressor*>(&exact)}) {
       ExpectGridMatchesBatch(*model, base, 1, xs, 3, ys);
       ExpectGridMatchesBatch(*model, base, 3, ys, 1, xs);  // axes swapped
     }
@@ -448,11 +441,9 @@ TEST(PredictGridTest, SingleLeafTrees) {
   RandomForestRegressor forest(params, 3);
   forest.Fit(d);
   ASSERT_EQ(forest.compiled().num_nodes(), forest.compiled().num_trees());
-  const CompiledForest quantized =
-      CompiledForest::Compile(forest, {.quantized_thresholds = true});
   const std::vector<double> axis = {-1e9, -1.0, 0.0, 0.0, 3.5, 1e9};
   ExpectGridMatchesBatch(forest, {0.0, 0.0}, 0, axis, 1, axis);
-  ExpectGridMatchesBatch(quantized, {0.0, 0.0}, 1, axis, 0, axis);
+  ExpectGridMatchesBatch(forest, {0.0, 0.0}, 1, axis, 0, axis);
 }
 
 TEST(PredictGridTest, DefaultPathMatchesPredictBatchForOtherFamilies) {

@@ -3,12 +3,16 @@
 // arithmetic (Eq. 7-8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "src/core/ero_table.h"
 #include "src/core/offline_profiler.h"
 #include "src/core/resource_usage_predictor.h"
 #include "src/sim/cluster.h"
+#include "src/stats/rng.h"
 
 namespace optum::core {
 namespace {
@@ -49,6 +53,74 @@ TEST(EroTableTest, SelfPairsSupported) {
   ero.Observe(5, 5, 0.25);
   EXPECT_DOUBLE_EQ(ero.Get(5, 5), 0.25);
   EXPECT_EQ(ero.size(), 1u);
+}
+
+// Random Observe sequences against a std::map reference: after every step
+// the table agrees on version() and size(), and periodic sweeps over every
+// id pair — ids never observed, ids past the largest observed one, negative
+// ids and self-pairs included — agree on Get and Contains. Ratios fall
+// outside [0, 1] (clamped), and every fifth step re-observes a stored pair
+// at or below its value, which must not bump the version.
+TEST(EroTablePropertyTest, MatchesMapReferenceUnderRandomObservations) {
+  constexpr AppId kObservedIds = 300;  // several growths of the pair matrix
+  constexpr AppId kQueriedIds = 320;
+  Rng rng(31);
+  EroTable ero;
+  std::map<std::pair<AppId, AppId>, double> reference;
+  uint64_t version = 0;
+  const auto check_all_pairs = [&] {
+    for (AppId a = -1; a < kQueriedIds; ++a) {
+      for (AppId b = -1; b < kQueriedIds; ++b) {
+        const auto it = reference.find(std::minmax(a, b));
+        const bool observed = it != reference.end();
+        ASSERT_EQ(ero.Contains(a, b), observed) << a << ", " << b;
+        ASSERT_EQ(ero.Get(a, b), observed ? it->second : 1.0) << a << ", " << b;
+      }
+    }
+  };
+  for (int step = 0; step < 4000; ++step) {
+    AppId a = static_cast<AppId>(rng.NextBelow(kObservedIds));
+    AppId b = step % 7 == 0 ? a : static_cast<AppId>(rng.NextBelow(kObservedIds));
+    double ratio = rng.Uniform(-0.3, 1.3);
+    if (step % 5 == 0 && !reference.empty()) {
+      auto it = reference.begin();
+      std::advance(it, static_cast<long>(rng.NextBelow(reference.size())));
+      std::tie(b, a) = it->first;  // reversed order reads the same pair
+      ratio = it->second * rng.Uniform(0.0, 1.0);
+    }
+    ero.Observe(a, b, ratio);
+    const double clamped = std::clamp(ratio, 0.0, 1.0);
+    const auto [it, inserted] = reference.try_emplace(std::minmax(a, b), clamped);
+    if (inserted) {
+      ++version;
+    } else if (clamped > it->second) {
+      it->second = clamped;
+      ++version;
+    }
+    ASSERT_EQ(ero.version(), version) << "step " << step;
+    ASSERT_EQ(ero.size(), reference.size()) << "step " << step;
+    if (step % 500 == 0 || step == 3999) {
+      check_all_pairs();
+    }
+  }
+}
+
+TEST(EroTablePropertyTest, CopiesStayIndependent) {
+  EroTable original;
+  original.Observe(1, 2, 0.4);
+  EroTable copy = original;
+  copy.Observe(2, 1, 0.9);
+  copy.Observe(3, 40, 0.1);  // a new app on the copy only
+  EXPECT_EQ(original.Get(1, 2), 0.4);
+  EXPECT_FALSE(original.Contains(3, 40));
+  EXPECT_EQ(original.size(), 1u);
+  EXPECT_EQ(original.version(), 1u);
+  original.Observe(5, 5, 0.3);
+  EXPECT_FALSE(copy.Contains(5, 5));
+  EXPECT_EQ(copy.Get(1, 2), 0.9);
+  EXPECT_EQ(copy.Get(40, 3), 0.1);
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(copy.version(), 3u);
 }
 
 // --- Offline profiler on a hand-crafted trace --------------------------------

@@ -4,7 +4,9 @@
 // evaluation it replaced — the discretized model at the bucket's canonical
 // point, and the raw-model finite difference on the fine grid — and require
 // the same tables for every crew size the fill runs on, for predictors over
-// hand-made profiles that fill their own, and after ReplaceProfiles.
+// hand-made profiles that fill their own, and after ReplaceProfiles — which
+// must also re-sync the usage predictor's flat memory profiles and its
+// cached baselines with the new ERO table.
 // Labeled `concurrency`: the fill runs on a ShardCrew.
 #include <gtest/gtest.h>
 
@@ -285,6 +287,77 @@ TEST_F(InterferenceTableTest, ReplaceProfilesMatchesAFreshScheduler) {
     }
     // Table reads only: nothing was evaluated while scoring.
     EXPECT_EQ(replaced.interference_predictor().cache_stats().forest_evals(), 0u);
+  }
+}
+
+TEST_F(InterferenceTableTest, ReplaceProfilesResyncsMemoryProfilesAndEro) {
+  // A swapped-in profile set whose memory profiles and ERO differ from the
+  // original's for every app, plus a model-less app past the largest id.
+  OptumProfiles swapped = *profiles_;
+  for (auto& [app, model] : swapped.apps) {
+    model.stats.mem_profile = 0.3 + 0.01 * static_cast<double>(app % 50);
+  }
+  const AppId num_apps = static_cast<AppId>(workload_->apps.size());
+  const AppId late_app = num_apps + 5;
+  swapped.apps[late_app].stats.mem_profile = 0.42;
+  swapped.ero = EroTable();  // its version restarts, colliding with the old
+  for (AppId a = 0; a < num_apps; ++a) {
+    for (AppId b = a; b < num_apps; b += 3) {
+      swapped.ero.Observe(a, b, 0.2 + 0.06 * static_cast<double>((7 * a + b) % 10));
+    }
+  }
+
+  ClusterState cluster(8, kUnitResources, 16);
+  std::vector<PodSpec> incoming;
+  for (size_t i = 0; i < 100; ++i) {
+    const PodSpec& spec = workload_->pods[i];
+    if (i < 60) {
+      cluster.Place(spec, &AppOf(*workload_, spec.app), static_cast<HostId>(i % 8), 0);
+    } else {
+      incoming.push_back(spec);
+    }
+  }
+  incoming.push_back(incoming.front());
+  incoming.back().app = late_app;
+
+  for (const bool triple : {false, true}) {
+    SCOPED_TRACE(triple ? "triple-wise" : "pairwise");
+    OptumConfig config;
+    config.use_triple_ero = triple;
+    OptumScheduler replaced(*profiles_, config);
+    std::vector<double> before;
+    for (const Host& host : cluster.hosts()) {  // warm every host's baseline
+      for (const PodSpec& pod : incoming) {
+        before.push_back(replaced.usage_predictor().PredictHost(host, &pod).mem);
+      }
+    }
+    replaced.ReplaceProfiles(swapped);
+    const OptumScheduler fresh(swapped, config);
+    const ResourceUsagePredictor& usage = replaced.usage_predictor();
+    size_t k = 0;
+    size_t mem_moved = 0;
+    for (const Host& host : cluster.hosts()) {
+      const Resources as_is = usage.PredictHost(host, nullptr);
+      const Resources as_is_rescan = usage.PredictHostRescan(host, nullptr);
+      ASSERT_TRUE(SameBits(as_is.cpu, as_is_rescan.cpu) &&
+                  SameBits(as_is.mem, as_is_rescan.mem))
+          << "host " << host.id;
+      for (const PodSpec& pod : incoming) {
+        const Resources cached = usage.PredictHost(host, &pod);
+        const Resources rescan = usage.PredictHostRescan(host, &pod);
+        const Resources want = fresh.usage_predictor().PredictHost(host, &pod);
+        ASSERT_TRUE(SameBits(cached.cpu, rescan.cpu) && SameBits(cached.mem, rescan.mem))
+            << "host " << host.id << " app " << pod.app;
+        ASSERT_TRUE(SameBits(cached.cpu, want.cpu) && SameBits(cached.mem, want.mem))
+            << "host " << host.id << " app " << pod.app;
+        const OptumScheduler::HostEvaluation got = replaced.EvaluateHost(pod, host);
+        const OptumScheduler::HostEvaluation expected = fresh.EvaluateHost(pod, host);
+        ASSERT_EQ(got.feasible, expected.feasible);
+        ASSERT_TRUE(SameBits(got.score, expected.score));
+        mem_moved += cached.mem != before[k++] ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(mem_moved, before.size());  // every memory estimate changed
   }
 }
 

@@ -4,21 +4,28 @@
 // These tests pin the contract: optum.latency.v1 rows, placed-pod sets,
 // admission accounting, serve counters, and SLO-violation accounting match
 // recorded goldens for every {pipeline_depth} × {ingest_threads}
-// combination and across repeated runs; the admission queue survives genuinely
-// concurrent offers; and a speculative score finalized after cluster
-// mutation equals a fresh PlaceScored. Labeled `concurrency` so the suite
+// combination and across repeated runs, and so do the shards' decision-log
+// bytes; the admission queue survives genuinely concurrent offers; and a
+// speculative score finalized after cluster mutation equals a fresh
+// PlaceScored. Labeled `concurrency` so the suite
 // also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/offline_profiler.h"
 #include "src/core/optum_scheduler.h"
+#include "src/obs/decision_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/pressure.h"
 #include "src/obs/span_log.h"
@@ -72,13 +79,26 @@ struct RunResult {
   std::string slo_json;         // merged optum.slo.v1 document
   serve::AdmissionStats stats;
   serve::ServeCounters counters;
-  uint64_t memo_hits = 0;       // summed over shards
+  // Speculative evaluations kept at finalize because the host's epoch did
+  // not move (eval_memo_hits()), summed over shards.
+  uint64_t kept_evals = 0;
+  // Each shard's decision-log bytes, in shard order; empty unless the run
+  // attached decision logs.
+  std::vector<std::string> decision_logs;
 };
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
 
 // One service run in a mild-overload regime with departures, so requeues,
 // waits, epoch churn, and SLO violations all occur — the paths speculation
-// has to get right.
-RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads) {
+// has to get right. With `log_decisions`, every shard writes a decision log.
+RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads,
+                       bool log_decisions = false) {
   const ServeWorld& world = World();
   serve::ServeConfig config;
   config.arrival.offered_pods_per_sec = 120.0;
@@ -103,18 +123,38 @@ RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads) {
   serve::PlacementService service(world.workload, world.profiles, &cluster,
                                   config);
   service.set_pressure_monitor(&monitor);
+  std::vector<std::string> log_paths;
+  std::vector<std::unique_ptr<obs::DecisionLog>> logs;
+  if (log_decisions) {
+    for (size_t s = 0; s < service.coordinator().num_schedulers(); ++s) {
+      log_paths.push_back(::testing::TempDir() + "/pipeline_decisions_d" +
+                          std::to_string(pipeline_depth) + "_i" +
+                          std::to_string(ingest_threads) + "_s" +
+                          std::to_string(s) + ".jsonl");
+      logs.push_back(std::make_unique<obs::DecisionLog>(log_paths.back()));
+      EXPECT_TRUE(logs.back()->ok());
+      obs::Sinks shard_sinks;
+      shard_sinks.decision_log = logs.back().get();
+      service.coordinator().shard(s).AttachSinks(shard_sinks);
+    }
+  }
   service.RunRounds(10);
   service.Drain();
   monitor.Finalize();
 
   RunResult out;
+  logs.clear();  // closes (flushes) the files
+  for (const std::string& path : log_paths) {
+    out.decision_logs.push_back(ReadFile(path));
+    std::remove(path.c_str());
+  }
   out.row = serve::RenderLatencyRow(service.MakeLatencyRow());
   out.placed = service.PlacedPodIds();
   out.slo_json = monitor.MergedSlo().RenderJson(monitor.seconds_per_tick());
   out.stats = service.admission_stats();
   out.counters = service.counters();
   for (size_t s = 0; s < service.coordinator().num_schedulers(); ++s) {
-    out.memo_hits += service.coordinator().shard(s).eval_memo_hits();
+    out.kept_evals += service.coordinator().shard(s).eval_memo_hits();
   }
   return out;
 }
@@ -180,9 +220,9 @@ TEST(PipelinedServeTest, RowsPlacedSetsAndSloBitIdenticalAcrossMatrix) {
                                       /*ingest_threads=*/0);
   ExpectGoldens(base);
   EXPECT_GT(base.counters.conflicts, 0);
-  EXPECT_EQ(base.memo_hits, 0u);  // depth 1 never touches the memo
+  EXPECT_EQ(base.kept_evals, 0u);  // depth 1 never speculates
 
-  uint64_t pipelined_memo_hits = 0;
+  uint64_t pipelined_kept_evals = 0;
   for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
     for (const size_t ingest : {size_t{0}, size_t{1}}) {
       if (depth == 1 && ingest == 0) {
@@ -194,69 +234,62 @@ TEST(PipelinedServeTest, RowsPlacedSetsAndSloBitIdenticalAcrossMatrix) {
       ExpectGoldens(r);
       ExpectSameRun(r, base);
       if (depth > 1) {
-        pipelined_memo_hits += r.memo_hits;
+        pipelined_kept_evals += r.kept_evals;
       }
     }
   }
   // The pipeline must actually be working, not silently degrading to the
-  // serial path: speculative rounds reuse memoized evaluations.
-  EXPECT_GT(pipelined_memo_hits, 0u);
+  // serial path: finalize keeps speculative evaluations of unmoved hosts.
+  EXPECT_GT(pipelined_kept_evals, 0u);
 
   // Same-process repeat: a second identical service exports the same
-  // bytes and the same memo traffic.
+  // bytes and keeps the same number of evaluations.
   const RunResult first = RunPipelined(2, 1);
   const RunResult repeat = RunPipelined(2, 1);
   ExpectSameRun(repeat, first);
-  EXPECT_EQ(repeat.memo_hits, first.memo_hits);
+  EXPECT_EQ(repeat.kept_evals, first.kept_evals);
 }
 
-// A shard with a decision log attached declines to speculate (per-candidate
-// cache-miss tagging would be skewed by the memo) but must stay
-// bit-identical through the coordinator's PlaceScored fallback.
-TEST(PipelinedServeTest, DecisionLogShardFallsBackBitIdentically) {
-  const RunResult base = RunPipelined(1, 0);
+// Every evaluation keeps its Eq. 11 breakdown, so FinalizeSpeculative
+// writes exactly the records PlaceScored would: each shard's decision log
+// has the same bytes for every {pipeline_depth} × {ingest_threads}
+// combination, and logging moves no placement.
+TEST(PipelinedServeTest, DecisionLogBytesIdenticalAcrossMatrix) {
+  const RunResult base = RunPipelined(/*pipeline_depth=*/1,
+                                      /*ingest_threads=*/0,
+                                      /*log_decisions=*/true);
+  ExpectGoldens(base);
+  ASSERT_EQ(base.decision_logs.size(), 2u);
+  for (const std::string& log : base.decision_logs) {
+    // The header line plus records.
+    EXPECT_GT(std::count(log.begin(), log.end(), '\n'), 1);
+  }
 
-  const ServeWorld& world = World();
-  serve::ServeConfig config;
-  config.arrival.offered_pods_per_sec = 120.0;
-  config.arrival.round_seconds = 1.0;
-  config.distributed.num_schedulers = 2;
-  config.distributed.max_attempts_per_pod = 8;
-  config.queue_capacity_per_shard = 1024;
-  config.max_schedule_per_round = 48;
-  config.max_requeues = 8;
-  config.mean_residency_rounds = 12.0;
-  config.keep_exact_latencies = true;
-  config.pipeline_depth = 2;
-  obs::HostPressureMonitor::Options mopts;
-  mopts.num_slo_shards = config.distributed.num_schedulers;
-  mopts.seconds_per_tick = config.arrival.round_seconds;
-  mopts.pressure.slo_threshold = 0.5;
-  obs::HostPressureMonitor monitor(300, mopts);
-  ClusterState cluster(300, kUnitResources, /*history_window=*/64);
-  serve::PlacementService service(world.workload, world.profiles, &cluster,
-                                  config);
-  service.set_pressure_monitor(&monitor);
-  obs::DecisionLog decision_log("/dev/null");
-  ASSERT_TRUE(decision_log.ok());
-  obs::Sinks shard_sinks;
-  shard_sinks.decision_log = &decision_log;
-  service.coordinator().shard(0).AttachSinks(shard_sinks);
-  EXPECT_FALSE(service.coordinator().shard(0).speculation_supported());
-  service.RunRounds(10);
-  service.Drain();
-  monitor.Finalize();
-  EXPECT_EQ(serve::RenderLatencyRow(service.MakeLatencyRow()), base.row);
-  EXPECT_EQ(service.PlacedPodIds(), base.placed);
-  EXPECT_EQ(monitor.MergedSlo().RenderJson(monitor.seconds_per_tick()),
-            base.slo_json);
-  EXPECT_EQ(service.coordinator().shard(0).eval_memo_hits(), 0u);
-  EXPECT_GT(decision_log.records_written(), 0);
+  uint64_t pipelined_kept_evals = 0;
+  for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (const size_t ingest : {size_t{0}, size_t{1}}) {
+      if (depth == 1 && ingest == 0) {
+        continue;  // the baseline itself
+      }
+      SCOPED_TRACE("depth=" + std::to_string(depth) +
+                   " ingest=" + std::to_string(ingest));
+      const RunResult r = RunPipelined(depth, ingest, /*log_decisions=*/true);
+      ExpectGoldens(r);
+      ExpectSameRun(r, base);
+      EXPECT_EQ(r.decision_logs, base.decision_logs);
+      if (depth > 1) {
+        pipelined_kept_evals += r.kept_evals;
+      }
+    }
+  }
+  // The logged shards really speculated.
+  EXPECT_GT(pipelined_kept_evals, 0u);
 }
 
 // BeginSpeculative → cluster mutation → FinalizeSpeculative must equal a
 // fresh PlaceScored issued at finalize time, including when the mutation
-// invalidates candidates the speculation already scored.
+// invalidates candidates the speculation already scored — down to the
+// decision records both write.
 TEST(SpeculativeSchedulerTest, FinalizeMatchesFreshPlaceScoredAfterMutation) {
   const ServeWorld& world = World();
   const std::vector<const AppProfile*> catalog =
@@ -268,10 +301,18 @@ TEST(SpeculativeSchedulerTest, FinalizeMatchesFreshPlaceScoredAfterMutation) {
   config.min_candidates = 16;
   OptumScheduler speculative(world.profiles, config);
   OptumScheduler fresh(world.profiles, config);
-  ASSERT_TRUE(speculative.speculation_supported());
+  const std::string spec_log_path =
+      ::testing::TempDir() + "/speculative_decisions.jsonl";
+  const std::string fresh_log_path = ::testing::TempDir() + "/fresh_decisions.jsonl";
+  auto spec_log = std::make_unique<obs::DecisionLog>(spec_log_path);
+  auto fresh_log = std::make_unique<obs::DecisionLog>(fresh_log_path);
+  ASSERT_TRUE(spec_log->ok());
+  ASSERT_TRUE(fresh_log->ok());
+  speculative.AttachSinks(obs::Sinks{.decision_log = spec_log.get()});
+  fresh.AttachSinks(obs::Sinks{.decision_log = fresh_log.get()});
 
-  // A small app rotation so (app, host) pairs recur against unchanged host
-  // epochs — the condition under which the direct-mapped memo can hit.
+  // A small app rotation over a small cluster, so most candidates are
+  // untouched between speculation and finalize.
   const size_t num_apps = catalog.size() < 3 ? catalog.size() : size_t{3};
 
   constexpr int kHosts = 64;
@@ -329,8 +370,14 @@ TEST(SpeculativeSchedulerTest, FinalizeMatchesFreshPlaceScoredAfterMutation) {
     spec.Clear();
   }
   EXPECT_GT(agreements, 0);
-  // Repeated apps against unmoved hosts hit the epoch-stamped memo.
+  // Finalize kept the speculative evaluations of unmoved hosts.
   EXPECT_GT(speculative.eval_memo_hits(), 0u);
+  EXPECT_EQ(spec_log->records_written(), 120);
+  spec_log.reset();  // closes (flushes) the files
+  fresh_log.reset();
+  EXPECT_EQ(ReadFile(spec_log_path), ReadFile(fresh_log_path));
+  std::remove(spec_log_path.c_str());
+  std::remove(fresh_log_path.c_str());
 }
 
 // The queue's counters were plain ints once; under concurrent Offer they

@@ -2,9 +2,9 @@
 # Builds the RelWithDebInfo preset and runs the hot-path benchmark, writing
 # BENCH_hotpath.json at the repo root (or to the positional output if given).
 # BENCH_hotpath.json also carries a "forest" section: ns/row of
-# pointer-tree forest descent vs the compiled SoA engine (exact and
-# quantized variants) over a batch-size sweep, and an "observability"
-# section with the span-log / series-ring overhead.
+# pointer-tree forest descent vs the compiled SoA engine over a batch-size
+# sweep, and an "observability" section with the span-log / series-ring
+# overhead.
 #
 # After the run, bench_diff compares the fresh numbers against the committed
 # BENCH_hotpath.json (saved before the bench overwrites it) and fails the

@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 CONCURRENCY_TARGETS=(concurrency_test cache_property_test interference_table_test
                      sample_hosts_test perf_equivalence_test sim_property_test obs_test
                      span_timeseries_test compiled_forest_test
-                     forest_quantized_test serve_test serve_pipeline_test
+                     serve_test serve_pipeline_test
                      latency_percentile_test pressure_slo_test profiler_test
                      shard_crew_test)
 

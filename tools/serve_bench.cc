@@ -269,20 +269,16 @@ int Main(int argc, char** argv) {
   table.AddRow({"latency_s_p999", FormatDouble(row.latency_s_p999, 3)});
   table.AddRow({"latency_s_max", FormatDouble(row.latency_s_max, 3)});
   if (config.pipeline_depth > 1) {
-    uint64_t memo_hits = 0;
-    uint64_t memo_misses = 0;
+    // Speculative evaluations finalize kept (host epoch unmoved) and
+    // evaluations computed, summed over shards.
+    uint64_t kept = 0;
+    uint64_t computed = 0;
     for (size_t s = 0; s < service.coordinator().num_schedulers(); ++s) {
-      memo_hits += service.coordinator().shard(s).eval_memo_hits();
-      memo_misses += service.coordinator().shard(s).eval_memo_misses();
+      kept += service.coordinator().shard(s).eval_memo_hits();
+      computed += service.coordinator().shard(s).eval_memo_misses();
     }
-    const uint64_t total = memo_hits + memo_misses;
-    table.AddRow({"eval_memo_hits", std::to_string(memo_hits)});
-    table.AddRow(
-        {"eval_memo_hit_rate",
-         FormatDouble(total > 0 ? static_cast<double>(memo_hits) /
-                                      static_cast<double>(total)
-                                : 0.0,
-                      3)});
+    table.AddRow({"evals_kept_at_finalize", std::to_string(kept)});
+    table.AddRow({"evals_computed", std::to_string(computed)});
   }
   if (profiler != nullptr) {
     table.AddRow({"profile_windows",
