@@ -20,10 +20,13 @@ namespace {
 constexpr std::chrono::microseconds kSpinBudget{250};
 // How long a crew thread spins for the next round after an open round.
 // Parking costs an open round's caller nothing — it starts the next round
-// alone and a woken lane joins late — so lanes only need to stay hot across
-// short serial gaps: the simulator's OOM pass between its two host passes
-// takes ~8 µs at 1,000 hosts, while the scheduling phase between ticks
-// takes milliseconds and is not worth spinning through.
+// alone and a woken lane joins late — so the spin only needs to cover short
+// serial gaps, such as those between a forest's fits. The simulator runs one
+// host round per tick; its one gap inside a tick, before the pod-usage
+// record round on every tenth tick, is 45-110 µs at 1,000 hosts
+// (completions and the node-usage sweep), and a 200 µs spin that covers it
+// made sim_day no faster. The scheduling between ticks takes milliseconds
+// and is not worth spinning through.
 constexpr std::chrono::microseconds kOpenRoundSpin{50};
 // Clock reads are amortized over a short burst of pause instructions.
 constexpr int kPausesPerClockRead = 64;

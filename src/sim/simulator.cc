@@ -2,12 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/check.h"
 #include "src/obs/profiler.h"
 #include "src/obs/timer.h"
 
 namespace optum {
+namespace {
+
+// Software prefetch distances, in pods. A PodRuntime is 408 bytes (7 cache
+// lines) wherever the cluster's deque and free list put it, so the tick's
+// walks over pod pointers are bound by memory latency, not arithmetic.
+// The host pass fetches the record two pods ahead in host.pods, which
+// overlaps its misses with the current pod's draws; the record build does
+// less work per pod, so it fetches further ahead in running_.
+constexpr size_t kHostPassPrefetchPods = 2;
+constexpr size_t kRecordPrefetchPods = 4;
+
+// Prefetches every cache line the PodRuntime occupies.
+void PrefetchPod(const PodRuntime* pod) {
+  constexpr uintptr_t kLine = 64;
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(pod);
+  const uintptr_t end = begin + sizeof(PodRuntime);
+  for (uintptr_t line = begin & ~(kLine - 1); line < end; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+}
+
+}  // namespace
 
 const char* ToString(WaitReason reason) {
   switch (reason) {
@@ -233,44 +256,59 @@ void Simulator::SchedulePending() {
 }
 
 void Simulator::UpdateUsageAndPerformance() {
-  // Four phases; the two expensive ones run on the crew, one host per index.
-  // Determinism for any lane count: every stochastic draw comes from a
-  // per-pod stream, each host (and so each pod) is touched by exactly one
-  // lane per phase, and the shared counters are reduced serially in host
-  // order.
-
-  // Phase 1 (crew, per host): each resident pod's raw demand from its own
-  // noise stream, summed in host.pods order.
+  // One crew pass over hosts, one host per index, then a serial pass over
+  // the rare hosts that ran out of memory. Determinism for any lane count:
+  // every stochastic draw comes from a per-pod stream, each host (and so
+  // each pod) is touched by exactly one lane, settling a host reads only
+  // that host, and the shared state — OOM evictions, the counters and the
+  // completion order — is updated serially in host order.
+  QpsPatternValues(workload_.apps, now_, qps_fraction_);
   const size_t num_hosts = cluster_.num_hosts();
   crew_.ParallelFor(num_hosts, [&](size_t hi) {
-    const Host& host = cluster_.host(static_cast<HostId>(hi));
+    Host& host = cluster_.mutable_host(static_cast<HostId>(hi));
     TickScratch& scratch = tick_scratch_[hi];
-    scratch.demand = kZeroResources;
-    scratch.violation = false;
     scratch.had_pods = !host.pods.empty();
-    for (PodRuntime* pod : host.pods) {
+    // Each resident pod's raw demand from its own noise stream, summed in
+    // host.pods order.
+    Resources demand = kZeroResources;
+    const size_t num_pods = host.pods.size();
+    for (size_t i = 0; i < num_pods; ++i) {
+      if (i + kHostPassPrefetchPods < num_pods) {
+        PrefetchPod(host.pods[i + kHostPassPrefetchPods]);
+      }
+      PodRuntime* pod = host.pods[i];
       const AppProfile& app = *pod->app;
-      const double cpu = std::min(PodCpuDemand(app, pod->spec.behavior, now_, pod->noise),
+      const PodBehavior& behavior = pod->spec.behavior;
+      const double qps_fraction = qps_fraction_[static_cast<size_t>(pod->spec.app)];
+      const double cpu = std::min(PodCpuDemand(app, behavior, qps_fraction, pod->noise),
                                   pod->spec.limit.cpu);
-      const double mem = std::min(PodMemDemand(app, pod->spec.behavior, now_, pod->noise),
+      const double mem = std::min(PodMemDemand(app, behavior, qps_fraction, pod->noise),
                                   pod->spec.limit.mem);
       pod->cpu_demand = cpu;
       pod->mem_usage = mem;
-      pod->qps = PodQps(app, pod->spec.behavior, now_, pod->noise);
-      scratch.demand += Resources{cpu, mem};
+      pod->qps = PodQps(app, behavior, qps_fraction, pod->noise);
+      demand += Resources{cpu, mem};
+    }
+    scratch.demand = demand;
+    // A host over memory capacity is settled by the serial pass below,
+    // after its OOM kills.
+    if (demand.mem <= host.capacity.mem) {
+      SettleHost(host, scratch);
     }
   });
 
-  // Phase 2 (serial, rare): memory over-capacity triggers OOM kills of the
-  // newest BE pods ("running out-of-memory can kill all programs on the
-  // host", §3.1.2; we model the kernel killing best-effort victims first).
-  // Mutates pending_/running_/cluster_, so it stays on the calling thread.
+  // Serial, rare: memory over-capacity triggers OOM kills of the newest BE
+  // pods ("running out-of-memory can kill all programs on the host",
+  // §3.1.2; we model the kernel killing best-effort victims first), then the
+  // host is settled on what survives. Mutates pending_/running_/cluster_,
+  // so it stays on the calling thread.
   for (size_t hi = 0; hi < num_hosts; ++hi) {
-    Resources& demand = tick_scratch_[hi].demand;
-    if (demand.mem <= cluster_.host(static_cast<HostId>(hi)).capacity.mem) {
+    TickScratch& scratch = tick_scratch_[hi];
+    Resources& demand = scratch.demand;
+    Host& host = cluster_.mutable_host(static_cast<HostId>(hi));
+    if (demand.mem <= host.capacity.mem) {
       continue;
     }
-    Host& host = cluster_.mutable_host(static_cast<HostId>(hi));
     while (demand.mem > host.capacity.mem) {
       PodRuntime* victim = nullptr;
       for (auto it = host.pods.rbegin(); it != host.pods.rend(); ++it) {
@@ -300,60 +338,63 @@ void Simulator::UpdateUsageAndPerformance() {
         break;
       }
     }
+    SettleHost(host, scratch);
   }
 
-  // Phase 3 (crew, per host): capacity scaling, per-pod usage, PSI, BE
-  // progress, and the host history window.
-  crew_.ParallelFor(num_hosts, [&](size_t hi) {
-    Host& host = cluster_.mutable_host(static_cast<HostId>(hi));
-    TickScratch& scratch = tick_scratch_[hi];
-    if (host.pods.empty()) {
-      host.demand = kZeroResources;
-      host.usage = kZeroResources;
-      host.PushHistory(0.0, config_.nsigma_history_window);
-      return;
-    }
-    const Resources demand = scratch.demand;
-    host.demand = demand;
-    scratch.violation = demand.cpu > host.capacity.cpu + 1e-9;
-
-    // CPU is work-conserving: when demand exceeds capacity every pod is
-    // throttled proportionally and contention (PSI) rises.
-    const double scale =
-        demand.cpu > host.capacity.cpu ? host.capacity.cpu / demand.cpu : 1.0;
-    const double demand_ratio = demand.cpu / host.capacity.cpu;
-    const double mem_ratio = demand.mem / host.capacity.mem;
-
-    Resources usage = kZeroResources;
-    for (PodRuntime* pod : host.pods) {
-      pod->cpu_usage = pod->cpu_demand * scale;
-      pod->max_cpu_usage = std::max(pod->max_cpu_usage, pod->cpu_usage);
-      pod->max_mem_usage = std::max(pod->max_mem_usage, pod->mem_usage);
-      pod->RecordCpuSample(pod->cpu_usage, pod->reservoir_rng);
-      usage += Resources{pod->cpu_usage, pod->mem_usage};
-
-      const AppProfile& app = *pod->app;
-      if (IsLatencySensitive(app.slo)) {
-        const double pod_util =
-            pod->spec.request.cpu > 0 ? pod->cpu_usage / pod->spec.request.cpu : 0.0;
-        const double qps_fraction = app.qps_pattern.At(now_);
-        pod->psi60 = psi_model_.CpuPsi60(app, demand_ratio, pod_util, qps_fraction,
-                                         pod->noise);
-        pod->psi300 = psi_model_.CpuPsi300(pod->psi300, pod->psi60);
-        pod->max_psi = std::max(pod->max_psi, pod->psi60);
-      } else if (app.slo == SloClass::kBe) {
-        pod->progress += psi_model_.BeProgressRate(app, demand_ratio, mem_ratio);
-      }
-    }
-    host.usage = usage;
-    host.PushHistory(usage.cpu / host.capacity.cpu, config_.nsigma_history_window);
-  });
-
-  // Phase 4 (serial reduce): shared counters, in host order.
+  // Serial reduce: shared counters, in host order.
   for (size_t hi = 0; hi < num_hosts; ++hi) {
     result_.nonidle_host_ticks += tick_scratch_[hi].had_pods ? 1 : 0;
     result_.violation_host_ticks += tick_scratch_[hi].violation ? 1 : 0;
   }
+}
+
+void Simulator::SettleHost(Host& host, TickScratch& scratch) {
+  scratch.done.clear();
+  scratch.violation = false;
+  if (host.pods.empty()) {
+    host.demand = kZeroResources;
+    host.usage = kZeroResources;
+    host.PushHistory(0.0, config_.nsigma_history_window);
+    return;
+  }
+  const Resources demand = scratch.demand;
+  host.demand = demand;
+  scratch.violation = demand.cpu > host.capacity.cpu + 1e-9;
+
+  // CPU is work-conserving: when demand exceeds capacity every pod is
+  // throttled proportionally and contention (PSI) rises.
+  const double scale =
+      demand.cpu > host.capacity.cpu ? host.capacity.cpu / demand.cpu : 1.0;
+  const double demand_ratio = demand.cpu / host.capacity.cpu;
+  const double mem_ratio = demand.mem / host.capacity.mem;
+
+  Resources usage = kZeroResources;
+  for (PodRuntime* pod : host.pods) {
+    pod->cpu_usage = pod->cpu_demand * scale;
+    pod->max_cpu_usage = std::max(pod->max_cpu_usage, pod->cpu_usage);
+    pod->max_mem_usage = std::max(pod->max_mem_usage, pod->mem_usage);
+    pod->RecordCpuSample(pod->cpu_usage, pod->reservoir_rng);
+    usage += Resources{pod->cpu_usage, pod->mem_usage};
+
+    const AppProfile& app = *pod->app;
+    if (IsLatencySensitive(app.slo)) {
+      const double pod_util =
+          pod->spec.request.cpu > 0 ? pod->cpu_usage / pod->spec.request.cpu : 0.0;
+      pod->psi60 = psi_model_.CpuPsi60(app, demand_ratio, pod_util,
+                                       qps_fraction_[static_cast<size_t>(pod->spec.app)],
+                                       pod->noise);
+      pod->psi300 = psi_model_.CpuPsi300(pod->psi300, pod->psi60);
+      pod->max_psi = std::max(pod->max_psi, pod->psi60);
+    } else if (app.slo == SloClass::kBe) {
+      pod->progress += psi_model_.BeProgressRate(app, demand_ratio, mem_ratio);
+    }
+    if (pod->spec.slo == SloClass::kBe &&
+        pod->progress + 1e-9 >= pod->spec.behavior.work_ticks) {
+      scratch.done.push_back(pod);
+    }
+  }
+  host.usage = usage;
+  host.PushHistory(usage.cpu / host.capacity.cpu, config_.nsigma_history_window);
 }
 
 void Simulator::FinishPod(PodRuntime* pod, Tick finish_tick) {
@@ -386,14 +427,16 @@ void Simulator::FinishPod(PodRuntime* pod, Tick finish_tick) {
 }
 
 void Simulator::HandleCompletions() {
-  // Collect first: FinishPod mutates running_.
+  // Finish the BE pods each host's settle flagged, in running_ order. Sort
+  // before the first FinishPod, which swap-removes from running_ and so
+  // moves other pods' running_index.
   done_.clear();
-  for (PodRuntime* pod : running_) {
-    if (pod->spec.slo == SloClass::kBe &&
-        pod->progress + 1e-9 >= pod->spec.behavior.work_ticks) {
-      done_.push_back(pod);
-    }
+  for (const TickScratch& scratch : tick_scratch_) {
+    done_.insert(done_.end(), scratch.done.begin(), scratch.done.end());
   }
+  std::sort(done_.begin(), done_.end(), [](const PodRuntime* a, const PodRuntime* b) {
+    return a->running_index < b->running_index;
+  });
   for (PodRuntime* pod : done_) {
     FinishPod(pod, now_);
   }
@@ -431,8 +474,12 @@ void Simulator::RecordRunningState() {
     // indexed by running_ position, then appended serially one push_back at
     // a time: pre-sizing pod_usage for a bulk fill moves its last
     // reallocation later in the run and raises peak RSS.
-    usage_rows_.resize(running_.size());
-    crew_.ParallelFor(running_.size(), [&](size_t i) {
+    const size_t num_running = running_.size();
+    usage_rows_.resize(num_running);
+    crew_.ParallelFor(num_running, [&](size_t i) {
+      if (i + kRecordPrefetchPods < num_running) {
+        PrefetchPod(running_[i + kRecordPrefetchPods]);
+      }
       PodRuntime* pod = running_[i];
       PodUsageRecord rec;
       rec.pod_id = pod->spec.id;

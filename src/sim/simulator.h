@@ -159,12 +159,13 @@ class Simulator {
     Tick enqueued_at = 0;
   };
 
-  // Per-host per-tick scratch, filled by the crew's demand pass and
-  // consumed by the serial OOM pass and the crew's usage pass.
+  // Per-host per-tick scratch, written by the host's lane in the crew pass
+  // (or by the serial OOM pass) and read serially afterwards.
   struct TickScratch {
-    Resources demand;
+    Resources demand;        // raw demand; OOM kills subtract their victims'
     bool had_pods = false;   // host was non-idle at the start of the tick
     bool violation = false;  // raw CPU demand exceeded capacity
+    std::vector<PodRuntime*> done;  // BE pods whose work finished this tick
   };
 
   void EnqueueArrivals();
@@ -172,6 +173,11 @@ class Simulator {
   bool TryPreemptForLsr(const PodSpec& pod, const AppProfile& app);
   void CommitPlacement(const PodSpec& spec, const AppProfile& app, HostId host);
   void UpdateUsageAndPerformance();
+  // Capacity scaling, per-pod usage and CPU reservoir, PSI, BE progress
+  // (flagging finished pods in scratch.done) and the history window of
+  // one host whose demand is in scratch.demand. Reads and writes only that
+  // host, its pods and its scratch.
+  void SettleHost(Host& host, TickScratch& scratch);
   void HandleCompletions();
   void RecordRunningState();
   void FinalizeAtHorizon();
@@ -204,6 +210,8 @@ class Simulator {
   std::deque<PendingPod> pending_[4];
   std::vector<PodRuntime*> running_;  // all currently running pods
   std::vector<TickScratch> tick_scratch_;
+  // qps_pattern.At(now_) per AppId, filled once per tick for every draw.
+  std::vector<double> qps_fraction_;
   std::vector<PodRuntime*> done_;            // HandleCompletions scratch
   std::vector<PodUsageRecord> usage_rows_;  // RecordRunningState scratch
 

@@ -41,21 +41,20 @@ PodBehavior SamplePodBehavior(const AppProfile& app, Rng& rng) {
   return b;
 }
 
-double PodCpuDemand(const AppProfile& app, const PodBehavior& behavior, Tick t, Rng& noise) {
+double PodCpuDemand(const AppProfile& app, const PodBehavior& behavior, double qps_fraction,
+                    Rng& noise) {
   const double base = app.request.cpu * app.cpu_usage_fraction * behavior.cpu_scale;
-  double temporal = 1.0;
-  if (IsLatencySensitive(app.slo)) {
-    // LS CPU tracks QPS: diurnal (Fig. 4a).
-    temporal = app.qps_pattern.At(t);
-  }
+  // LS CPU tracks QPS: diurnal (Fig. 4a).
+  const double temporal = IsLatencySensitive(app.slo) ? qps_fraction : 1.0;
   // Small measurement/runtime noise, bounded by the app's burst ceiling.
   const double jitter = std::max(0.0, noise.Gaussian(1.0, 0.06));
   const double ceiling = app.cpu_usage_ceiling * app.request.cpu;
   return std::clamp(base * temporal * jitter, 0.0, ceiling);
 }
 
-double PodMemDemand(const AppProfile& app, const PodBehavior& behavior, Tick t, Rng& noise) {
-  (void)t;  // Memory usage is stable over time (paper Fig. 4b).
+double PodMemDemand(const AppProfile& app, const PodBehavior& behavior, double qps_fraction,
+                    Rng& noise) {
+  (void)qps_fraction;  // Memory usage is stable over time (paper Fig. 4b).
   const double base = app.request.mem * app.mem_usage_fraction * behavior.mem_scale;
   const double jitter = std::max(0.0, noise.Gaussian(1.0, 0.005));
   return std::max(0.0, base * jitter);
@@ -73,12 +72,20 @@ PodSpec MakePodSpec(PodId id, const AppProfile& app, Tick submit_tick) {
   return spec;
 }
 
-double PodQps(const AppProfile& app, const PodBehavior& behavior, Tick t, Rng& noise) {
+double PodQps(const AppProfile& app, const PodBehavior& behavior, double qps_fraction,
+              Rng& noise) {
   if (!IsLatencySensitive(app.slo) || app.qps_base <= 0.0) {
     return 0.0;
   }
   const double jitter = std::max(0.0, noise.Gaussian(1.0, 0.05));
-  return app.qps_base * app.qps_pattern.At(t) * behavior.qps_scale * jitter;
+  return app.qps_base * qps_fraction * behavior.qps_scale * jitter;
+}
+
+void QpsPatternValues(std::span<const AppProfile> apps, Tick t, std::vector<double>& out) {
+  out.resize(apps.size());
+  for (size_t i = 0; i < apps.size(); ++i) {
+    out[i] = apps[i].qps_pattern.At(t);
+  }
 }
 
 }  // namespace optum

@@ -5,6 +5,7 @@
 #ifndef OPTUM_SRC_TRACE_APP_MODEL_H_
 #define OPTUM_SRC_TRACE_APP_MODEL_H_
 
+#include <span>
 #include <vector>
 
 #include "src/common/types.h"
@@ -94,15 +95,26 @@ PodBehavior SamplePodBehavior(const AppProfile& app, Rng& rng);
 // dynamics sample it separately.
 PodSpec MakePodSpec(PodId id, const AppProfile& app, Tick submit_tick = 0);
 
-// Instantaneous CPU usage (fraction of host capacity) of a pod at tick t,
-// before any limit clamping, given its app profile and behaviour draw.
-double PodCpuDemand(const AppProfile& app, const PodBehavior& behavior, Tick t, Rng& noise);
+// Per-tick demand draws. `qps_fraction` is app.qps_pattern.At(t) for the
+// current tick t, computed once per application per tick
+// (QpsPatternValues) and shared by all of the app's pods.
 
-// Instantaneous memory usage; memory is far more stable than CPU.
-double PodMemDemand(const AppProfile& app, const PodBehavior& behavior, Tick t, Rng& noise);
+// Instantaneous CPU usage (fraction of host capacity) of a pod, before any
+// limit clamping, given its app profile and behaviour draw.
+double PodCpuDemand(const AppProfile& app, const PodBehavior& behavior, double qps_fraction,
+                    Rng& noise);
 
-// Instantaneous QPS of an LS pod at tick t (0 for non-LS apps).
-double PodQps(const AppProfile& app, const PodBehavior& behavior, Tick t, Rng& noise);
+// Instantaneous memory usage; memory is far more stable than CPU, so
+// `qps_fraction` is unused (paper Fig. 4b).
+double PodMemDemand(const AppProfile& app, const PodBehavior& behavior, double qps_fraction,
+                    Rng& noise);
+
+// Instantaneous QPS of an LS pod (0 for non-LS apps).
+double PodQps(const AppProfile& app, const PodBehavior& behavior, double qps_fraction,
+              Rng& noise);
+
+// Fills out[i] = apps[i].qps_pattern.At(t) for every application.
+void QpsPatternValues(std::span<const AppProfile> apps, Tick t, std::vector<double>& out);
 
 }  // namespace optum
 

@@ -1,5 +1,6 @@
 #include "src/trace/trace_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -24,8 +25,10 @@ FilePtr OpenFor(const std::string& dir, const char* name, const char* mode) {
   return FilePtr(std::fopen(path.c_str(), mode));
 }
 
-// Parses one CSV line of doubles into `out`; returns number of fields.
-size_t ParseRow(const char* line, std::vector<double>& out) {
+// Parses one CSV line of doubles into `out`. Returns false unless it holds
+// exactly `expected_fields` fields, all finite (strtod also accepts "nan"
+// and "inf").
+bool ParseRow(const char* line, size_t expected_fields, std::vector<double>& out) {
   out.clear();
   const char* p = line;
   char* end = nullptr;
@@ -34,21 +37,43 @@ size_t ParseRow(const char* line, std::vector<double>& out) {
     if (end == p) {
       break;
     }
+    if (!std::isfinite(v)) {
+      return false;
+    }
     out.push_back(v);
     p = end;
     if (*p == ',') {
       ++p;
     }
   }
-  return out.size();
+  return out.size() == expected_fields;
 }
 
+// An SloClass column: an integer in [0, kNumSloClasses).
+bool ParseSlo(double v, SloClass* out) {
+  if (v < 0.0 || v >= kNumSloClasses || v != std::floor(v)) {
+    return false;
+  }
+  *out = static_cast<SloClass>(static_cast<int>(v));
+  return true;
+}
+
+// Calls fn on every data row after the header; stops and returns false on
+// a malformed row or when fn rejects one. A line that does not fit the
+// buffer is malformed: reading it in pieces would parse its tail as a row
+// of its own.
 bool ForEachRow(FILE* f, size_t expected_fields,
-                const std::function<void(const std::vector<double>&)>& fn) {
+                const std::function<bool(const std::vector<double>&)>& fn) {
   char line[512];
   std::vector<double> fields;
   bool first = true;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
+    const size_t len = std::strlen(line);
+    // fgets stops at a newline, a full buffer or the end of the file; only
+    // the last may leave a complete line without its newline.
+    if (len > 0 && line[len - 1] != '\n' && std::fgetc(f) != EOF) {
+      return false;
+    }
     if (first) {
       first = false;  // Skip the header row.
       continue;
@@ -56,10 +81,9 @@ bool ForEachRow(FILE* f, size_t expected_fields,
     if (line[0] == '\n' || line[0] == '\0') {
       continue;
     }
-    if (ParseRow(line, fields) != expected_fields) {
+    if (!ParseRow(line, expected_fields, fields) || !fn(fields)) {
       return false;
     }
-    fn(fields);
   }
   return true;
 }
@@ -148,6 +172,7 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           n.machine_id = static_cast<HostId>(v[0]);
           n.capacity = {v[1], v[2]};
           out->nodes.push_back(n);
+          return true;
         })) {
       return false;
     }
@@ -159,12 +184,15 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           PodMeta p;
           p.pod_id = static_cast<PodId>(v[0]);
           p.app_id = static_cast<AppId>(v[1]);
-          p.slo = static_cast<SloClass>(static_cast<int>(v[2]));
+          if (!ParseSlo(v[2], &p.slo)) {
+            return false;
+          }
           p.request = {v[3], v[4]};
           p.limit = {v[5], v[6]};
           p.submit_tick = static_cast<Tick>(v[7]);
           p.original_machine_id = static_cast<HostId>(v[8]);
           out->pods.push_back(p);
+          return true;
         })) {
       return false;
     }
@@ -181,6 +209,7 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           r.disk_usage = v[4];
           r.net_usage = v[5];
           out->node_usage.push_back(r);
+          return true;
         })) {
       return false;
     }
@@ -204,6 +233,7 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           r.qps = v[11];
           r.response_time = v[12];
           out->pod_usage.push_back(r);
+          return true;
         })) {
       return false;
     }
@@ -215,7 +245,9 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           PodLifecycleRecord r;
           r.pod_id = static_cast<PodId>(v[0]);
           r.app_id = static_cast<AppId>(v[1]);
-          r.slo = static_cast<SloClass>(static_cast<int>(v[2]));
+          if (!ParseSlo(v[2], &r.slo)) {
+            return false;
+          }
           r.submit_tick = static_cast<Tick>(v[3]);
           r.schedule_tick = static_cast<Tick>(v[4]);
           r.finish_tick = static_cast<Tick>(v[5]);
@@ -225,6 +257,7 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           r.actual_completion_ticks = v[9];
           r.max_cpu_psi = v[10];
           out->lifecycles.push_back(r);
+          return true;
         })) {
       return false;
     }

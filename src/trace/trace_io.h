@@ -16,7 +16,8 @@ namespace optum {
 bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory);
 
 // Reads a bundle previously written by WriteTraceBundle. Returns false on
-// missing files or malformed rows.
+// missing files or malformed rows: a wrong field count, a line longer than
+// 511 bytes, a non-finite field, or an slo outside [0, kNumSloClasses).
 bool ReadTraceBundle(const std::string& directory, TraceBundle* out);
 
 }  // namespace optum

@@ -389,6 +389,39 @@ SimResult RunOptum(const Workload& workload, const SimConfig& sim_config,
   return Simulator(workload, config, optum).Run();
 }
 
+// --- SimResult golden --------------------------------------------------------
+
+// Digests of the two over-commit runs, recorded from the four-phase tick
+// (demand pass, serial OOM pass, usage pass, serial reduce) that the fused
+// one-pass tick replaced. The lane-invariance tests compare lane counts
+// with each other; these pin the output itself, so any change to a draw,
+// to a summation order, or to the order of OOM kills, completions and
+// records shows up here.
+constexpr uint64_t kBaselineOvercommitDigest = 2587803618061190015ULL;
+constexpr uint64_t kOptumOvercommitDigest = 11642768509986040065ULL;
+
+TEST(SimResultGoldenTest, OvercommitRunsMatchRecordedDigests) {
+  const Workload workload = testing_sim::OvercommitWorkload();
+  const SimConfig sim_config = MakeSimConfig();
+
+  BaselineOptions options;
+  options.mem_guard = 1.4;
+  AlibabaBaseline baseline(options);
+  const SimResult baseline_result = Simulator(workload, sim_config, baseline).Run();
+  EXPECT_GT(baseline_result.oom_kills, 0);
+  EXPECT_GT(baseline_result.preemptions, 0);
+  EXPECT_EQ(testing_sim::SimResultDigest(baseline_result), kBaselineOvercommitDigest);
+
+  OptumConfig optum_config;
+  optum_config.mem_util_limit = 1.01;
+  const SimResult optum_result =
+      RunOptum(workload, sim_config, TrainProfiles(workload, sim_config), optum_config,
+               sim_config.num_lanes);
+  EXPECT_GT(optum_result.oom_kills, 0);
+  EXPECT_GT(optum_result.preemptions, 0);
+  EXPECT_EQ(testing_sim::SimResultDigest(optum_result), kOptumOvercommitDigest);
+}
+
 TEST(ThreadCountInvarianceTest, FullSimulationMatchesSerial) {
   // Optum may fill predicted memory just past capacity, so OOM kills and
   // LSR preemptions both fire on the serial path between crew rounds.

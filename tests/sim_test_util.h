@@ -4,16 +4,21 @@
 // (nodes, pods, node_usage, pod_usage, lifecycles), the wait samples, the
 // utilization series and the counters. Doubles compare with ==, so any
 // drift in summation order or in a per-pod draw shows up as a mismatch.
+// SimResultDigest folds the same fields into one FNV-1a hash, so a golden
+// recorded from one implementation of the tick pins every later one.
 #ifndef OPTUM_TESTS_SIM_TEST_UTIL_H_
 #define OPTUM_TESTS_SIM_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/trace/workload_generator.h"
+#include "tests/golden_digest.h"
 
 namespace optum::testing_sim {
 
@@ -89,6 +94,44 @@ inline void ExpectIdenticalSimResults(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.never_scheduled_pods, b.never_scheduled_pods);
   EXPECT_EQ(a.violation_host_ticks, b.violation_host_ticks);
   EXPECT_EQ(a.nonidle_host_ticks, b.nonidle_host_ticks);
+}
+
+inline void HashField(uint64_t& h, double v) { testing_golden::HashDouble(h, v); }
+inline void HashField(uint64_t& h, const Resources& r) {
+  testing_golden::HashDouble(h, r.cpu);
+  testing_golden::HashDouble(h, r.mem);
+}
+template <typename T>
+  requires std::is_integral_v<T> || std::is_enum_v<T>
+void HashField(uint64_t& h, T v) {
+  testing_golden::HashWord(h, static_cast<uint64_t>(static_cast<int64_t>(v)));
+}
+
+// Folds the row count, then every Fields() member of every row, in order.
+template <typename Row>
+void HashRows(uint64_t& h, const std::vector<Row>& rows) {
+  testing_golden::HashWord(h, rows.size());
+  for (const Row& row : rows) {
+    std::apply([&h](const auto&... field) { (HashField(h, field), ...); }, Fields(row));
+  }
+}
+
+// Every field ExpectIdenticalSimResults compares, in the same order.
+inline uint64_t SimResultDigest(const SimResult& r) {
+  uint64_t h = testing_golden::kFnvOffset;
+  HashRows(h, r.trace.nodes);
+  HashRows(h, r.trace.pods);
+  HashRows(h, r.trace.node_usage);
+  HashRows(h, r.trace.pod_usage);
+  HashRows(h, r.trace.lifecycles);
+  HashRows(h, r.waits);
+  HashRows(h, r.util_series);
+  for (const int64_t counter : {r.oom_kills, r.preemptions, r.scheduled_pods,
+                                r.never_scheduled_pods, r.violation_host_ticks,
+                                r.nonidle_host_ticks}) {
+    HashField(h, counter);
+  }
+  return h;
 }
 
 }  // namespace optum::testing_sim

@@ -2,8 +2,14 @@
 // generator, and CSV trace I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/stats/descriptive.h"
 #include "src/trace/app_model.h"
@@ -50,7 +56,7 @@ TEST(AppModelTest, CpuDemandRespectsCeiling) {
   b.cpu_scale = 10.0;  // extreme pod: ceiling must clamp
   Rng noise(3);
   for (Tick t = 0; t < 200; ++t) {
-    EXPECT_LE(PodCpuDemand(app, b, t, noise), 0.5 * 0.1 + 1e-12);
+    EXPECT_LE(PodCpuDemand(app, b, app.qps_pattern.At(t), noise), 0.5 * 0.1 + 1e-12);
   }
 }
 
@@ -69,7 +75,7 @@ TEST(AppModelTest, LsCpuFollowsDiurnalQps) {
     Rng noise(5);
     double acc = 0;
     for (int i = 0; i < 500; ++i) {
-      acc += PodCpuDemand(app, b, t, noise);
+      acc += PodCpuDemand(app, b, app.qps_pattern.At(t), noise);
     }
     return acc / 500;
   };
@@ -86,7 +92,7 @@ TEST(AppModelTest, MemoryIsStable) {
   Rng noise(7);
   std::vector<double> series;
   for (Tick t = 0; t < 500; ++t) {
-    series.push_back(PodMemDemand(app, b, t, noise));
+    series.push_back(PodMemDemand(app, b, app.qps_pattern.At(t), noise));
   }
   EXPECT_LT(CoefficientOfVariation(series), 0.02);
 }
@@ -97,7 +103,34 @@ TEST(AppModelTest, QpsZeroForBatch) {
   Rng rng(8);
   const PodBehavior b = SamplePodBehavior(app, rng);
   Rng noise(9);
-  EXPECT_DOUBLE_EQ(PodQps(app, b, 100, noise), 0.0);
+  EXPECT_DOUBLE_EQ(PodQps(app, b, app.qps_pattern.At(100), noise), 0.0);
+}
+
+// The simulator draws every pod's demand from one per-app pattern value
+// per tick (QpsPatternValues); it must equal DiurnalPattern::At bit for
+// bit at every tick of a day and across the day boundary, whatever each
+// app's phase shift.
+TEST(AppModelTest, PerTickPatternValuesMatchDiurnalPatternBitForBit) {
+  std::vector<AppProfile> apps = WorkloadGenerator(SmallConfig()).Generate().apps;
+  for (const double phase : {0.0, 0.25, -0.15, 0.5, 0.999}) {
+    AppProfile app;
+    app.qps_pattern = DiurnalPattern(0.3, phase);
+    apps.push_back(app);
+  }
+  std::vector<double> values;
+  for (Tick t = 0; t <= kTicksPerDay + 2; ++t) {
+    QpsPatternValues(apps, t, values);
+    ASSERT_EQ(values.size(), apps.size());
+    for (size_t i = 0; i < apps.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(values[i]),
+                std::bit_cast<uint64_t>(apps[i].qps_pattern.At(t)))
+          << "app " << i << " tick " << t;
+    }
+  }
+  // The shifts are real: apps do not all peak together.
+  QpsPatternValues(apps, 0, values);
+  EXPECT_NE(*std::min_element(values.begin(), values.end()),
+            *std::max_element(values.begin(), values.end()));
 }
 
 TEST(WorkloadGeneratorTest, PodsSortedBySubmitTick) {
@@ -215,7 +248,9 @@ TEST(WorkloadGeneratorTest, ScalesWithClusterSize) {
   EXPECT_GT(n_big, 2 * n_small);
 }
 
-TEST(TraceIoTest, RoundTripPreservesRecords) {
+// One record per table, as the CSV round-trip and the reader's rejection
+// tests write it.
+TraceBundle SampleBundle() {
   TraceBundle bundle;
   bundle.nodes.push_back(NodeMeta{3, {1.0, 1.0}});
   PodMeta pod;
@@ -250,6 +285,11 @@ TEST(TraceIoTest, RoundTripPreservesRecords) {
   life.max_cpu_psi = 0.3;
   bundle.lifecycles.push_back(life);
 
+  return bundle;
+}
+
+TEST(TraceIoTest, RoundTripPreservesRecords) {
+  const TraceBundle bundle = SampleBundle();
   const std::string dir =
       (std::filesystem::temp_directory_path() / "optum_trace_io_test").string();
   ASSERT_TRUE(WriteTraceBundle(bundle, dir));
@@ -288,6 +328,61 @@ TEST(TraceIoTest, EmptyBundleRoundTrips) {
   EXPECT_TRUE(loaded.pods.empty());
   EXPECT_TRUE(loaded.node_usage.empty());
   std::filesystem::remove_all(dir);
+}
+
+// Writes SampleBundle() to a fresh directory, appends `row` to `file` and
+// returns whether ReadTraceBundle accepts the result.
+bool ReadsWithAppendedRow(const std::string& tag, const char* file, const std::string& row) {
+  const std::string dir = ::testing::TempDir() + "/optum_trace_io_" + tag;
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(WriteTraceBundle(SampleBundle(), dir));
+  FILE* f = std::fopen((dir + "/" + file).c_str(), "a");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) {
+    return true;
+  }
+  std::fputs(row.c_str(), f);
+  std::fclose(f);
+  TraceBundle loaded;
+  const bool ok = ReadTraceBundle(dir, &loaded);
+  std::filesystem::remove_all(dir);
+  return ok;
+}
+
+// A line longer than the reader's buffer. Its first 511 bytes and its tail
+// each parse as a valid 6-field row, so reading it in pieces would turn one
+// malformed line into two records.
+TEST(TraceIoTest, RejectsLineLongerThanBuffer) {
+  EXPECT_TRUE(ReadsWithAppendedRow("long_control", "node_usage.csv", "3,101,0.5,0.25,0.1,0.2\n"));
+  std::string head = "3,101,0.5,0.25,0.1,0.2";
+  head.resize(511, '0');
+  EXPECT_FALSE(ReadsWithAppendedRow("long", "node_usage.csv",
+                                    head + "4,102,0.5,0.25,0.1,0.2\n"));
+}
+
+TEST(TraceIoTest, RejectsNonFiniteField) {
+  EXPECT_TRUE(ReadsWithAppendedRow("finite_control", "pod_usage.csv",
+                                   "42,3,105,0.2,0.1,0,0,0.15,0,0,0,120,9.5\n"));
+  for (const char* bad : {"nan", "inf", "-inf", "infinity"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ReadsWithAppendedRow("nonfinite", "pod_usage.csv",
+                                      "42,3,105,0.2,0.1,0,0," + std::string(bad) +
+                                          ",0,0,0,120,9.5\n"));
+  }
+}
+
+TEST(TraceIoTest, RejectsSloOutsideEnum) {
+  EXPECT_TRUE(ReadsWithAppendedRow("slo_control", "pods.csv",
+                                   "43,7,5,0.25,0.125,0.5,0.25,100,3\n"));
+  for (const char* slo : {"-1", "6", "255", "1.5"}) {
+    SCOPED_TRACE(slo);
+    EXPECT_FALSE(ReadsWithAppendedRow("slo_pods", "pods.csv",
+                                      "43,7," + std::string(slo) +
+                                          ",0.25,0.125,0.5,0.25,100,3\n"));
+    EXPECT_FALSE(ReadsWithAppendedRow("slo_lifecycles", "lifecycles.csv",
+                                      "43,7," + std::string(slo) +
+                                          ",100,102,-1,3,60,0,0,0.3\n"));
+  }
 }
 
 }  // namespace
