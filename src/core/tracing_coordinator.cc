@@ -130,7 +130,9 @@ TraceBundle TracingCoordinator::Snapshot() const {
     out.pods.push_back(meta);
   }
   out.node_usage.assign(node_usage_.begin(), node_usage_.end());
-  out.pod_usage.assign(pod_usage_.begin(), pod_usage_.end());
+  for (const PodUsageRecord& rec : pod_usage_) {
+    out.pod_usage.push_back(rec);
+  }
   out.lifecycles.assign(lifecycles_.begin(), lifecycles_.end());
   return out;
 }

@@ -471,11 +471,11 @@ void Simulator::RecordRunningState() {
 
   if (config_.pod_usage_period > 0 && now_ % config_.pod_usage_period == 0) {
     // Rows (and their per-pod PSI/response-time draws) are built on the crew
-    // indexed by running_ position, then appended serially one push_back at
-    // a time: pre-sizing pod_usage for a bulk fill moves its last
-    // reallocation later in the run and raises peak RSS.
+    // and written in place at base + running_ position: pod_usage's chunks
+    // never move, so its page faults fall on the writing lanes.
     const size_t num_running = running_.size();
-    usage_rows_.resize(num_running);
+    ChunkedRows<PodUsageRecord>& usage = result_.trace.pod_usage;
+    const size_t base = usage.Grow(num_running);
     crew_.ParallelFor(num_running, [&](size_t i) {
       if (i + kRecordPrefetchPods < num_running) {
         PrefetchPod(running_[i + kRecordPrefetchPods]);
@@ -499,11 +499,8 @@ void Simulator::RecordRunningState() {
         rec.response_time = psi_model_.ResponseTime(
             *pod->app, pod->psi60, pod->spec.behavior.rt_scale, pod->noise);
       }
-      usage_rows_[i] = rec;
+      usage[base + i] = rec;
     });
-    for (const PodUsageRecord& rec : usage_rows_) {
-      result_.trace.pod_usage.push_back(rec);
-    }
   }
 }
 

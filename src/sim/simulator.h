@@ -212,8 +212,7 @@ class Simulator {
   std::vector<TickScratch> tick_scratch_;
   // qps_pattern.At(now_) per AppId, filled once per tick for every draw.
   std::vector<double> qps_fraction_;
-  std::vector<PodRuntime*> done_;            // HandleCompletions scratch
-  std::vector<PodUsageRecord> usage_rows_;  // RecordRunningState scratch
+  std::vector<PodRuntime*> done_;  // HandleCompletions scratch
 
   // Final wait reason per pod id (kNone if the pod never waited).
   std::vector<WaitSample> wait_by_pod_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/trace/chunked_rows.h"
 
 namespace optum {
 
@@ -80,7 +81,7 @@ struct TraceBundle {
   std::vector<NodeMeta> nodes;
   std::vector<PodMeta> pods;
   std::vector<NodeUsageRecord> node_usage;
-  std::vector<PodUsageRecord> pod_usage;
+  ChunkedRows<PodUsageRecord> pod_usage;  // the bulk of a trace's rows
   std::vector<PodLifecycleRecord> lifecycles;
 };
 

@@ -5,7 +5,9 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace optum {
@@ -26,35 +28,51 @@ FilePtr OpenFor(const std::string& dir, const char* name, const char* mode) {
 }
 
 // Parses one CSV line of doubles into `out`. Returns false unless it holds
-// exactly `expected_fields` fields, all finite (strtod also accepts "nan"
-// and "inf").
+// exactly `expected_fields` comma-separated fields, all finite (strtod also
+// accepts "nan" and "inf"), followed by nothing but blanks and the line end.
 bool ParseRow(const char* line, size_t expected_fields, std::vector<double>& out) {
   out.clear();
   const char* p = line;
-  char* end = nullptr;
-  while (*p != '\0' && *p != '\n') {
+  while (true) {
+    char* end = nullptr;
     const double v = std::strtod(p, &end);
-    if (end == p) {
-      break;
-    }
-    if (!std::isfinite(v)) {
+    if (end == p || !std::isfinite(v)) {
       return false;
     }
     out.push_back(v);
     p = end;
-    if (*p == ',') {
-      ++p;
+    if (*p != ',') {
+      break;
     }
+    ++p;
   }
-  return out.size() == expected_fields;
+  while (*p == ' ' || *p == '\t' || *p == '\r') {
+    ++p;
+  }
+  return (*p == '\n' || *p == '\0') && out.size() == expected_fields;
+}
+
+// An id or tick column: an integer inside Int's range. Casting any other
+// double to Int is undefined behaviour.
+template <typename Int>
+bool ParseInt(double v, Int* out) {
+  static_assert(std::is_signed_v<Int>);
+  // -min is 2^(bits - 1), exact as a double, so v < -kMin excludes max + 1.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<Int>::min());
+  if (!(v >= kMin && v < -kMin) || v != std::floor(v)) {
+    return false;
+  }
+  *out = static_cast<Int>(v);
+  return true;
 }
 
 // An SloClass column: an integer in [0, kNumSloClasses).
 bool ParseSlo(double v, SloClass* out) {
-  if (v < 0.0 || v >= kNumSloClasses || v != std::floor(v)) {
+  int slo = 0;
+  if (!ParseInt(v, &slo) || slo < 0 || slo >= kNumSloClasses) {
     return false;
   }
-  *out = static_cast<SloClass>(static_cast<int>(v));
+  *out = static_cast<SloClass>(slo);
   return true;
 }
 
@@ -169,7 +187,9 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 3, [&](const std::vector<double>& v) {
           NodeMeta n;
-          n.machine_id = static_cast<HostId>(v[0]);
+          if (!ParseInt(v[0], &n.machine_id)) {
+            return false;
+          }
           n.capacity = {v[1], v[2]};
           out->nodes.push_back(n);
           return true;
@@ -182,15 +202,13 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 9, [&](const std::vector<double>& v) {
           PodMeta p;
-          p.pod_id = static_cast<PodId>(v[0]);
-          p.app_id = static_cast<AppId>(v[1]);
-          if (!ParseSlo(v[2], &p.slo)) {
+          if (!ParseInt(v[0], &p.pod_id) || !ParseInt(v[1], &p.app_id) ||
+              !ParseSlo(v[2], &p.slo) || !ParseInt(v[7], &p.submit_tick) ||
+              !ParseInt(v[8], &p.original_machine_id)) {
             return false;
           }
           p.request = {v[3], v[4]};
           p.limit = {v[5], v[6]};
-          p.submit_tick = static_cast<Tick>(v[7]);
-          p.original_machine_id = static_cast<HostId>(v[8]);
           out->pods.push_back(p);
           return true;
         })) {
@@ -202,8 +220,9 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 6, [&](const std::vector<double>& v) {
           NodeUsageRecord r;
-          r.machine_id = static_cast<HostId>(v[0]);
-          r.collect_tick = static_cast<Tick>(v[1]);
+          if (!ParseInt(v[0], &r.machine_id) || !ParseInt(v[1], &r.collect_tick)) {
+            return false;
+          }
           r.cpu_usage = v[2];
           r.mem_usage = v[3];
           r.disk_usage = v[4];
@@ -219,9 +238,10 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 13, [&](const std::vector<double>& v) {
           PodUsageRecord r;
-          r.pod_id = static_cast<PodId>(v[0]);
-          r.host = static_cast<HostId>(v[1]);
-          r.collect_tick = static_cast<Tick>(v[2]);
+          if (!ParseInt(v[0], &r.pod_id) || !ParseInt(v[1], &r.host) ||
+              !ParseInt(v[2], &r.collect_tick)) {
+            return false;
+          }
           r.cpu_usage = v[3];
           r.mem_usage = v[4];
           r.disk_usage = v[5];
@@ -243,15 +263,12 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 11, [&](const std::vector<double>& v) {
           PodLifecycleRecord r;
-          r.pod_id = static_cast<PodId>(v[0]);
-          r.app_id = static_cast<AppId>(v[1]);
-          if (!ParseSlo(v[2], &r.slo)) {
+          if (!ParseInt(v[0], &r.pod_id) || !ParseInt(v[1], &r.app_id) ||
+              !ParseSlo(v[2], &r.slo) || !ParseInt(v[3], &r.submit_tick) ||
+              !ParseInt(v[4], &r.schedule_tick) || !ParseInt(v[5], &r.finish_tick) ||
+              !ParseInt(v[6], &r.host)) {
             return false;
           }
-          r.submit_tick = static_cast<Tick>(v[3]);
-          r.schedule_tick = static_cast<Tick>(v[4]);
-          r.finish_tick = static_cast<Tick>(v[5]);
-          r.host = static_cast<HostId>(v[6]);
           r.waiting_seconds = v[7];
           r.ideal_completion_ticks = v[8];
           r.actual_completion_ticks = v[9];

@@ -16,8 +16,10 @@ namespace optum {
 bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory);
 
 // Reads a bundle previously written by WriteTraceBundle. Returns false on
-// missing files or malformed rows: a wrong field count, a line longer than
-// 511 bytes, a non-finite field, or an slo outside [0, kNumSloClasses).
+// missing files or malformed rows: a wrong field count, characters after
+// the last field, a line longer than 511 bytes, a non-finite field, an id or
+// tick that is not an integer inside its type's range, or an slo outside
+// [0, kNumSloClasses).
 bool ReadTraceBundle(const std::string& directory, TraceBundle* out);
 
 }  // namespace optum

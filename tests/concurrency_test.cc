@@ -410,6 +410,9 @@ TEST(SimResultGoldenTest, OvercommitRunsMatchRecordedDigests) {
   const SimResult baseline_result = Simulator(workload, sim_config, baseline).Run();
   EXPECT_GT(baseline_result.oom_kills, 0);
   EXPECT_GT(baseline_result.preemptions, 0);
+  // pod_usage spans more than one ChunkedRows chunk, so the digest covers
+  // rows the crew wrote on both sides of a chunk boundary.
+  EXPECT_GT(baseline_result.trace.pod_usage.size(), ChunkedRows<PodUsageRecord>::kChunkRows);
   EXPECT_EQ(testing_sim::SimResultDigest(baseline_result), kBaselineOvercommitDigest);
 
   OptumConfig optum_config;
@@ -419,6 +422,7 @@ TEST(SimResultGoldenTest, OvercommitRunsMatchRecordedDigests) {
                sim_config.num_lanes);
   EXPECT_GT(optum_result.oom_kills, 0);
   EXPECT_GT(optum_result.preemptions, 0);
+  EXPECT_GT(optum_result.trace.pod_usage.size(), ChunkedRows<PodUsageRecord>::kChunkRows);
   EXPECT_EQ(testing_sim::SimResultDigest(optum_result), kOptumOvercommitDigest);
 }
 

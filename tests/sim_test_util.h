@@ -4,6 +4,8 @@
 // (nodes, pods, node_usage, pod_usage, lifecycles), the wait samples, the
 // utilization series and the counters. Doubles compare with ==, so any
 // drift in summation order or in a per-pod draw shows up as a mismatch.
+// RowsEqual and HashRows take any sized, indexable table, so the same
+// comparison covers the std::vector tables and pod_usage's ChunkedRows.
 // SimResultDigest folds the same fields into one FNV-1a hash, so a golden
 // recorded from one implementation of the tick pins every later one.
 #ifndef OPTUM_TESTS_SIM_TEST_UTIL_H_
@@ -11,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <tuple>
 #include <type_traits>
@@ -64,10 +68,16 @@ inline auto Fields(const UtilSample& r) {
                   r.frac_hosts_nonidle);
 }
 
+// A table of rows: a std::vector, or the ChunkedRows that holds pod_usage.
+template <typename Rows>
+concept SizedIndexable = requires(const Rows& rows, size_t i) {
+  { rows.size() } -> std::convertible_to<size_t>;
+  rows[i];
+};
+
 // Reports the first differing row (or the size mismatch) of one table.
-template <typename Row>
-::testing::AssertionResult RowsEqual(const char* table, const std::vector<Row>& a,
-                                     const std::vector<Row>& b) {
+template <SizedIndexable Rows>
+::testing::AssertionResult RowsEqual(const char* table, const Rows& a, const Rows& b) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure()
            << table << ": " << a.size() << " rows vs " << b.size();
@@ -108,11 +118,11 @@ void HashField(uint64_t& h, T v) {
 }
 
 // Folds the row count, then every Fields() member of every row, in order.
-template <typename Row>
-void HashRows(uint64_t& h, const std::vector<Row>& rows) {
+template <SizedIndexable Rows>
+void HashRows(uint64_t& h, const Rows& rows) {
   testing_golden::HashWord(h, rows.size());
-  for (const Row& row : rows) {
-    std::apply([&h](const auto&... field) { (HashField(h, field), ...); }, Fields(row));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::apply([&h](const auto&... field) { (HashField(h, field), ...); }, Fields(rows[i]));
   }
 }
 

@@ -15,6 +15,7 @@
 #include "src/trace/app_model.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload_generator.h"
+#include "tests/sim_test_util.h"
 
 namespace optum {
 namespace {
@@ -383,6 +384,76 @@ TEST(TraceIoTest, RejectsSloOutsideEnum) {
                                       "43,7," + std::string(slo) +
                                           ",100,102,-1,3,60,0,0,0.3\n"));
   }
+}
+
+// Every id and tick column must hold an integer that fits its type: a
+// float-to-int cast of 1e12 into a HostId is undefined behaviour (it read
+// back as host -2147483648), and 2.5 would silently truncate.
+TEST(TraceIoTest, RejectsIdOrTickOutsideItsType) {
+  EXPECT_TRUE(ReadsWithAppendedRow("int_control", "pods.csv",
+                                   "43,7,5,0.25,0.125,0.5,0.25,100,-1\n"));
+  for (const char* host : {"1e12", "-3e9", "2147483648", "2.5"}) {
+    SCOPED_TRACE(host);
+    EXPECT_FALSE(ReadsWithAppendedRow("int_pods", "pods.csv",
+                                      "43,7,5,0.25,0.125,0.5,0.25,100," +
+                                          std::string(host) + "\n"));
+    EXPECT_FALSE(ReadsWithAppendedRow("int_nodes", "nodes.csv", std::string(host) + ",1,1\n"));
+  }
+  for (const char* tick : {"1e19", "-1e19", "100.5"}) {
+    SCOPED_TRACE(tick);
+    EXPECT_FALSE(ReadsWithAppendedRow("int_pod_usage", "pod_usage.csv",
+                                      "42,3," + std::string(tick) +
+                                          ",0.2,0.1,0,0,0.15,0,0,0,120,9.5\n"));
+    EXPECT_FALSE(ReadsWithAppendedRow("int_lifecycles", "lifecycles.csv",
+                                      "43,7,5,100,102," + std::string(tick) +
+                                          ",3,60,0,0,0.3\n"));
+  }
+}
+
+TEST(TraceIoTest, RejectsCharactersAfterLastField) {
+  EXPECT_TRUE(ReadsWithAppendedRow("tail_control", "node_usage.csv",
+                                   "3,101,0.5,0.25,0.1,0.2 \r\n"));
+  for (const char* tail : {"junk\n", ",\n", ";\n", " 7\n", "junk"}) {
+    SCOPED_TRACE(tail);
+    EXPECT_FALSE(ReadsWithAppendedRow("tail", "node_usage.csv",
+                                      "3,101,0.5,0.25,0.1,0.2" + std::string(tail)));
+  }
+}
+
+// pod_usage is a ChunkedRows; a bundle that spans three of its chunks must
+// write and read back row for row. Every double is k / 1000 with at most
+// six significant digits, so the %.6g columns reproduce it exactly.
+TEST(TraceIoTest, RoundTripAcrossPodUsageChunks) {
+  TraceBundle bundle = SampleBundle();
+  constexpr size_t kRows = 2 * ChunkedRows<PodUsageRecord>::kChunkRows + 123;
+  for (size_t i = 0; i < kRows; ++i) {
+    const auto milli = [i](size_t salt) {
+      return static_cast<double>((i * salt) % 100000) / 1000.0;
+    };
+    PodUsageRecord r;
+    r.pod_id = static_cast<PodId>(i);
+    r.host = static_cast<HostId>(i % 1000);
+    r.collect_tick = static_cast<Tick>(i / 7);
+    r.cpu_usage = milli(3);
+    r.mem_usage = milli(5);
+    r.disk_usage = milli(7);
+    r.cpu_psi_10 = milli(11);
+    r.cpu_psi_60 = milli(13);
+    r.cpu_psi_300 = milli(17);
+    r.mem_psi_some_60 = milli(19);
+    r.mem_psi_full_60 = milli(23);
+    r.qps = milli(29);
+    r.response_time = milli(31);
+    bundle.pod_usage.push_back(r);
+  }
+  const std::string dir = ::testing::TempDir() + "/optum_trace_io_chunks";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(WriteTraceBundle(bundle, dir));
+  TraceBundle loaded;
+  ASSERT_TRUE(ReadTraceBundle(dir, &loaded));
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(loaded.pod_usage.size(), kRows + 1);
+  EXPECT_TRUE(testing_sim::RowsEqual("pod_usage", loaded.pod_usage, bundle.pod_usage));
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 # `observability`-labeled ctest subsets under each — the shard-crew barrier
 # and open ParallelFor rounds, simulator lane invariance and the simulator
 # fixtures that run its tick on the crew (sim_test), concurrent-scheduler
-# invariance, interference-table fill, host-baseline stress, and metrics-registry
+# invariance, interference-table fill, the chunked pod-usage row store's
+# parallel fill, host-baseline stress, and metrics-registry
 # tests that guard the coordinator's shard lanes, the simulator tick's crew
 # and the lane-sharded metric shards.
 #
@@ -20,7 +21,7 @@ CONCURRENCY_TARGETS=(concurrency_test cache_property_test interference_table_tes
                      span_timeseries_test compiled_forest_test
                      serve_test serve_pipeline_test
                      latency_percentile_test pressure_slo_test profiler_test
-                     shard_crew_test)
+                     shard_crew_test chunked_rows_test)
 
 # Guard: every test registered in tests/CMakeLists.txt with a concurrency or
 # observability label must be in CONCURRENCY_TARGETS, or the sanitizer pass
