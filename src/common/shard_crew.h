@@ -1,32 +1,21 @@
-// Persistent lane crew for the §4.4 conflict-round barrier (DESIGN.md §12).
+// Persistent lane crew, the system's one parallel mechanism (DESIGN.md §8,
+// §12): the §4.4 coordinator's shards, the simulator tick's passes and the
+// forest fit's trees all run on it. It keeps num_lanes - 1 threads alive
+// and runs lane 0 on the calling thread; nothing is allocated per round.
+// There is one round type, and it is *open*:
 //
-// The distributed coordinator runs one decision per shard per conflict
-// round, and a round is short (a few hundred µs at 6,000 hosts) while the
-// serial resolve+commit between rounds is a few µs. A task queue pays a
-// mutex, a condvar wake-up and a heap-allocated closure per shard per round
-// and leaves the calling thread blocked; the crew instead keeps
-// num_lanes - 1 threads alive for its whole lifetime and runs lane 0 on the
-// calling thread:
-//
-//   * the caller publishes a round by storing a reference to the lane body
-//     and advancing a 32-bit epoch (seq_cst) — nothing is allocated;
-//   * each crew thread spins on the epoch for a bounded budget, then parks
-//     in std::atomic::wait until the next advance;
-//   * each crew thread decrements a countdown when its lane finishes; the
-//     caller runs lane 0, then spins and parks on the countdown the same way.
-//
-// A lane's writes happen-before Run() returns (release decrement, acquire
-// observation of zero), so the caller reads per-lane results without locks.
-//
-// The simulator's per-tick host and pod passes and the forest fit, one tree
-// per index (DESIGN.md §8), use the same crew through ParallelFor, a chunked
-// index loop. Its rounds are *open*: any index may run on any lane, so the
-// caller does not wait for a lane that has not started — a crew thread
-// joins through an admission word while the round is open, and the caller
-// closes the round once every index is claimed, then waits only for the
-// lanes that joined. On a loaded machine
-// a descheduled crew thread therefore costs nothing; it finds the round
-// closed when it wakes and goes back to waiting.
+//   * the caller opens an admission word (release) and advances an epoch;
+//     each crew thread spins on the epoch for a bounded budget, then parks
+//     in std::atomic::wait, and joins when woken if the round is still open;
+//   * lane l first claims its home chunk l, then takes chunks from a shared
+//     counter that starts after the homes, then steals any unclaimed home.
+//     While every lane is on time each runs the same home every round (the
+//     coordinator's shard l stays in lane l's cache); a late lane's home
+//     goes to whichever lane is free first;
+//   * once lane 0 returns every chunk is claimed, so the caller closes
+//     admission and waits only for the lanes that joined (release
+//     decrement, acquire observation), whose writes it then reads without
+//     locks. A descheduled crew thread costs a round nothing.
 #ifndef OPTUM_SRC_COMMON_SHARD_CREW_H_
 #define OPTUM_SRC_COMMON_SHARD_CREW_H_
 
@@ -37,7 +26,6 @@
 #include <exception>
 #include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "src/common/check.h"
@@ -48,7 +36,7 @@ class ShardCrew {
  public:
   // Starts num_lanes - 1 threads; a one-lane crew starts none.
   explicit ShardCrew(size_t num_lanes);
-  // Wakes parked lanes and joins every thread. Must not overlap Run().
+  // Wakes parked lanes and joins every thread. Must not overlap ParallelFor().
   ~ShardCrew();
 
   ShardCrew(const ShardCrew&) = delete;
@@ -56,96 +44,92 @@ class ShardCrew {
 
   size_t num_lanes() const { return threads_.size() + 1; }
 
-  // Runs fn(lane) exactly once for every lane in [0, num_lanes()): lane 0 on
-  // the calling thread, the rest on the crew. Returns after every lane has
-  // finished. An exception escaping a lane is captured and, once all lanes
-  // are done, the lowest throwing lane's exception is rethrown here. `fn` is
-  // passed by reference and must stay callable from several threads at once.
-  // One caller at a time.
-  template <typename Fn>
-  void Run(Fn&& fn) {
-    using F = std::remove_reference_t<Fn>;
-    RunRound(const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-             [](void* ctx, size_t lane) { (*static_cast<F*>(ctx))(lane); },
-             /*open=*/false);
-  }
-
   // Runs fn(i) exactly once for every i in [0, n) and returns when all have
-  // finished. The caller and whichever crew threads join the open round
-  // claim chunks of `chunk` (>= 1) consecutive indices from a shared
-  // counter, so uneven per-index cost balances itself; a range of at most
-  // one chunk, or a one-lane crew, runs inline on the caller and wakes no
-  // lane. The default chunk suits many cheap indices (the simulator's
-  // hosts); a caller with few heavy ones (a forest's trees) passes 1. An
-  // exception escaping fn ends that lane's claims, the other lanes finish
-  // the remaining chunks, and it is rethrown here once the round is over
-  // (the caller's first, else the lowest joined lane's). The order in which
-  // indices run is unspecified, so fn(i) must touch only state owned by
-  // index i.
+  // finished. Indices are claimed in chunks of `chunk` (>= 1) consecutive
+  // indices, home chunks first (see the header comment), so uneven
+  // per-index cost balances itself; a range of at most one chunk, or a
+  // one-lane crew, runs inline on the caller and wakes no lane. The default
+  // chunk suits many cheap indices (the simulator's hosts); a caller with
+  // few heavy ones (a forest's trees, the coordinator's shards) passes 1.
+  // Every index runs even when some throw: each exception is caught, the
+  // round goes on, and once it is over the exception of the lowest index
+  // that threw is rethrown here. The lane that runs an index is
+  // unspecified, so fn(i) must touch only state owned by index i. `fn` is
+  // passed by reference and must stay callable from several threads at
+  // once. One caller at a time.
   template <typename Fn>
   void ParallelFor(size_t n, Fn&& fn, size_t chunk = kParallelForChunk) {
     OPTUM_CHECK_GE(chunk, 1u);
-    if (threads_.empty() || n <= chunk) {
-      for (size_t i = 0; i < n; ++i) {
-        fn(i);
-      }
-      return;
-    }
-    std::atomic<size_t> next{0};
-    auto body = [&](size_t /*lane*/) {
-      for (size_t begin = next.fetch_add(chunk, std::memory_order_relaxed); begin < n;
-           begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
-        const size_t end = std::min(n, begin + chunk);
-        for (size_t i = begin; i < end; ++i) {
+    auto run = [&](size_t lane, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        try {
           fn(i);
+        } catch (...) {
+          NoteError(lane, i);
         }
       }
     };
-    RunRound(static_cast<void*>(std::addressof(body)),
-             [](void* ctx, size_t lane) { (*static_cast<decltype(body)*>(ctx))(lane); },
-             /*open=*/true);
+    RunRound(n, chunk, static_cast<void*>(std::addressof(run)),
+             [](void* ctx, size_t lane, size_t begin, size_t end) {
+               (*static_cast<decltype(run)*>(ctx))(lane, begin, end);
+             });
   }
 
  private:
-  using LaneFn = void (*)(void* ctx, size_t lane);
+  // Runs indices [begin, end) on `lane`.
+  using RangeFn = void (*)(void* ctx, size_t lane, size_t begin, size_t end);
 
-  // Default indices per ParallelFor claim: small enough that 1,000 hosts
-  // split into ~60 claims across 4 lanes, large enough that neighbouring
-  // lanes rarely write the same cache line of a per-index output array.
+  // Default indices per claim: small enough that 1,000 hosts split into ~60
+  // claims across 4 lanes, large enough that neighbouring lanes rarely
+  // write the same cache line of a per-index output array.
   static constexpr size_t kParallelForChunk = 16;
-
-  // Epoch layout: the round counter above bit 0, and bit 0 set for an
-  // open round — the only round property a late crew thread may read
-  // before it is admitted.
-  static constexpr uint32_t kOpenRound = 1;
-  // Admission word of an open round: kClosed plus the number of crew
-  // threads that joined and have not left yet.
+  // Admission word: kClosed plus the number of crew threads that joined
+  // the round and have not left yet.
   static constexpr uint32_t kClosed = 1u << 31;
 
-  void RunRound(void* ctx, LaneFn fn, bool open);
-  void Publish(uint32_t round_type);
+  struct alignas(64) HomeClaim {
+    std::atomic<bool> taken{false};
+  };
+  // The lowest index that threw on a lane this round, and its exception.
+  struct LaneError {
+    size_t index = 0;
+    std::exception_ptr error;
+  };
+
+  void RunRound(size_t n, size_t chunk, void* ctx, RangeFn fn);
   void RunLane(size_t lane) noexcept;
+  void RunChunk(size_t lane, size_t c) {
+    fn_(ctx_, lane, c * chunk_, std::min(n_, (c + 1) * chunk_));
+  }
+  // Records the exception in flight for index i; call only from a handler.
+  void NoteError(size_t lane, size_t i) noexcept;
+  void RethrowLowestError();
+  void Publish();
   void CrewLoop(size_t lane);
-  // Counts this crew thread into the open round unless it is closed.
-  bool TryJoinOpenRound();
+  // Counts this crew thread into the round unless it is closed.
+  bool TryJoin();
   void StopAndJoin();
 
-  // Round payload: written by the caller before the epoch advance that
-  // publishes it, read by crew threads after observing that advance.
-  // An open round's payload is also published by the release store that
-  // opens admission, which a crew thread acquires when it joins.
+  // Round payload: written by the caller before the release store that
+  // opens admission, read by crew threads after the acquire that joins.
   void* ctx_ = nullptr;
-  LaneFn fn_ = nullptr;
-  // Atomic because a crew thread late for an open round may still read it
-  // while the destructor sets it.
+  RangeFn fn_ = nullptr;
+  size_t n_ = 0;
+  size_t chunk_ = 1;
+  size_t num_chunks_ = 0;
+  // Chunks [0, homes_) are home chunks, one per lane.
+  size_t homes_ = 0;
+  // Atomic because a crew thread late for a round may still read it while
+  // the destructor sets it.
   std::atomic<bool> stopping_{false};
-  // errors_[lane] is written only by the lane's thread during a round (for
-  // an open round, only after joining) and read only by the caller after
-  // the countdown or the admission count reaches zero.
-  std::vector<std::exception_ptr> errors_;
+  // errors_[lane] is written only by the lane's thread during a round
+  // (after joining) and read only by the caller once the round is closed
+  // and every joined thread has left.
+  std::vector<LaneError> errors_;
+  std::vector<HomeClaim> claims_;
 
+  alignas(64) std::atomic<size_t> next_chunk_{0};
   alignas(64) std::atomic<uint32_t> epoch_{0};
-  alignas(64) std::atomic<uint32_t> pending_{0};
   alignas(64) std::atomic<uint32_t> admission_{kClosed};
 
   // Last: the threads use every member above.

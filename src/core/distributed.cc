@@ -40,8 +40,8 @@ void DistributedCoordinator::AttachSinks(const obs::Sinks& sinks) {
     profiler_->set_num_lanes(shards_.size());
   }
   obs::MetricRegistry* registry = sinks.metrics;
-  // Shard s scores on crew lane s; giving it registry lane s keeps
-  // concurrent shard updates on distinct metric shards. The
+  // Shard s gets registry lane s, whichever crew lane runs it, which
+  // keeps concurrent shard updates on distinct metric shards. The
   // coordinator's own counters (lane 0) are only touched in the serial
   // resolution phase, never while shards are deciding. Shards receive the
   // metrics sink only — span/decision logs must not be written from
@@ -135,9 +135,10 @@ DistributedOutcome DistributedCoordinator::ScheduleBatch(
     if (profiler_ != nullptr) {
       barrier_start = std::chrono::steady_clock::now();
     }
-    // Lane s decides for shard s; lane 0 runs on this thread. Every lane
-    // touches only its own shard, pipeline, queue and decision slot.
-    crew_.Run([&](size_t s) {
+    // Index s decides for shard s, on crew lane s unless that lane is late
+    // and another steals it; it records into profiler lane s either way.
+    // Every index touches only its own shard, pipeline, queue and decision.
+    auto decide = [&](size_t s) {
       if (!decisions[s].active) {
         return;
       }
@@ -176,7 +177,8 @@ DistributedOutcome DistributedCoordinator::ScheduleBatch(
         shard.BeginSpeculative(*queues[s][pipe.specs.size()].pod, cluster, &spec);
         pipe.specs.push_back(std::move(spec));
       }
-    });
+    };
+    crew_.ParallelFor(num_shards, decide, /*chunk=*/1);
     int64_t barrier_ns = 0;
     if (profiler_ != nullptr) {
       barrier_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -10,9 +10,10 @@
 // K independent OptumScheduler instances, runs their decisions in parallel
 // against a shared read-only cluster snapshot, resolves conflicts, and
 // loops re-dispatched pods until the batch is placed or stably rejected.
-// Parallelism is one thread per shard: a persistent ShardCrew of K - 1
-// threads plus the calling thread, which runs shard 0 itself. Each shard
-// scores its candidates serially.
+// Each conflict round is one ShardCrew round over the K shards (K - 1
+// threads plus the calling thread): lane s runs shard s while it is on
+// time, and a late lane's shard is stolen by a lane that is free. Each
+// shard scores its candidates serially.
 #ifndef OPTUM_SRC_CORE_DISTRIBUTED_H_
 #define OPTUM_SRC_CORE_DISTRIBUTED_H_
 
@@ -82,7 +83,7 @@ class DistributedCoordinator {
   //     dist.commits / dist.conflicts counters and times each
   //     conflict-resolution round into dist.round_seconds; every shard
   //     scheduler attaches (metrics only) at its own registry lane (shard s
-  //     uses lane s, the crew lane its decisions run on), under prefix
+  //     uses lane s, whichever crew thread runs it), under prefix
   //     "optum.shard<s>" — distinct lanes keep concurrent shard updates on
   //     distinct metric shards.
   //   * sinks.span_log — pod-lifecycle spans. Only the serial
@@ -91,7 +92,7 @@ class DistributedCoordinator {
   //     that lost their host (in shard order) — never the parallel shard
   //     decisions, so the file is deterministic for a given batch.
   //   * sinks.profile — phase-level round profiler (DESIGN.md §14). Each
-  //     shard lane times its head settle (finalize_revalidate) and
+  //     shard times its head settle (finalize_revalidate) and
   //     speculative top-up (spec_score) into its own profiler lane; the
   //     serial phase times resolve/commit into lane 0, measures the barrier
   //     wall around the crew round, and closes the round via EndRound. Both

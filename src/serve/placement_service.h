@@ -10,8 +10,8 @@
 // latency is derived from round arithmetic — placement latency of a pod is
 // (placed_round - submit_round) * round_seconds — so all exported rows are
 // bit-deterministic for a given config: independent of wall-clock, of how
-// the coordinator's shard lanes interleave (each shard decides on its own
-// crew lane against the same frozen snapshot), and of the shard-histogram
+// the coordinator's shards interleave or which crew thread runs each (every
+// shard decides against the same frozen snapshot), and of the shard-histogram
 // merge order.
 //
 // Each service round:

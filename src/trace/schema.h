@@ -17,6 +17,7 @@ namespace optum {
 struct NodeMeta {
   HostId machine_id = kInvalidHostId;
   Resources capacity = kUnitResources;  // normalized CPU/mem capacity
+  bool operator==(const NodeMeta&) const = default;
 };
 
 // -- Node running information (sampled every 30 s) ---------------------------
@@ -27,6 +28,7 @@ struct NodeUsageRecord {
   double mem_usage = 0.0;
   double disk_usage = 0.0;
   double net_usage = 0.0;
+  bool operator==(const NodeUsageRecord&) const = default;
 };
 
 // -- Pod basic information ---------------------------------------------------
@@ -38,6 +40,7 @@ struct PodMeta {
   Resources limit;              // maximum the pod may use
   Tick submit_tick = 0;
   HostId original_machine_id = kInvalidHostId;  // host at first scheduling
+  bool operator==(const PodMeta&) const = default;
 };
 
 // -- Pod running information (30 s OS-level, 1 min app-level) ----------------
@@ -57,6 +60,7 @@ struct PodUsageRecord {
   // Application-level metrics (LS pods only; zero otherwise).
   double qps = 0.0;
   double response_time = 0.0;
+  bool operator==(const PodUsageRecord&) const = default;
 };
 
 // -- Pod lifecycle outcome ----------------------------------------------------
@@ -74,6 +78,7 @@ struct PodLifecycleRecord {
   double actual_completion_ticks = 0.0;
   // For LS pods: worst CPU PSI observed during execution.
   double max_cpu_psi = 0.0;
+  bool operator==(const PodLifecycleRecord&) const = default;
 };
 
 // A complete trace bundle as produced by one simulation run.

@@ -120,7 +120,7 @@ bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory) {
     if (!f) return false;
     std::fprintf(f.get(), "machine_id,cpu_capacity,mem_capacity\n");
     for (const auto& n : bundle.nodes) {
-      std::fprintf(f.get(), "%d,%.9g,%.9g\n", n.machine_id, n.capacity.cpu, n.capacity.mem);
+      std::fprintf(f.get(), "%d,%.17g,%.17g\n", n.machine_id, n.capacity.cpu, n.capacity.mem);
     }
   }
   {
@@ -130,7 +130,7 @@ bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory) {
                  "pod_id,app_id,slo,cpu_request,mem_request,cpu_limit,mem_limit,"
                  "submit_tick,original_machine_id\n");
     for (const auto& p : bundle.pods) {
-      std::fprintf(f.get(), "%lld,%d,%d,%.9g,%.9g,%.9g,%.9g,%lld,%d\n",
+      std::fprintf(f.get(), "%lld,%d,%d,%.17g,%.17g,%.17g,%.17g,%lld,%d\n",
                    static_cast<long long>(p.pod_id), p.app_id, static_cast<int>(p.slo),
                    p.request.cpu, p.request.mem, p.limit.cpu, p.limit.mem,
                    static_cast<long long>(p.submit_tick), p.original_machine_id);
@@ -141,7 +141,7 @@ bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory) {
     if (!f) return false;
     std::fprintf(f.get(), "machine_id,tick,cpu,mem,disk,net\n");
     for (const auto& r : bundle.node_usage) {
-      std::fprintf(f.get(), "%d,%lld,%.6g,%.6g,%.6g,%.6g\n", r.machine_id,
+      std::fprintf(f.get(), "%d,%lld,%.17g,%.17g,%.17g,%.17g\n", r.machine_id,
                    static_cast<long long>(r.collect_tick), r.cpu_usage, r.mem_usage,
                    r.disk_usage, r.net_usage);
     }
@@ -154,7 +154,7 @@ bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory) {
                  "mem_psi_some_60,mem_psi_full_60,qps,response_time\n");
     for (const auto& r : bundle.pod_usage) {
       std::fprintf(f.get(),
-                   "%lld,%d,%lld,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n",
+                   "%lld,%d,%lld,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
                    static_cast<long long>(r.pod_id), r.host,
                    static_cast<long long>(r.collect_tick),
                    r.cpu_usage, r.mem_usage, r.disk_usage, r.cpu_psi_10, r.cpu_psi_60,
@@ -169,7 +169,7 @@ bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory) {
                  "pod_id,app_id,slo,submit_tick,schedule_tick,finish_tick,host,"
                  "waiting_seconds,ideal_ct,actual_ct,max_cpu_psi\n");
     for (const auto& r : bundle.lifecycles) {
-      std::fprintf(f.get(), "%lld,%d,%d,%lld,%lld,%lld,%d,%.6g,%.6g,%.6g,%.6g\n",
+      std::fprintf(f.get(), "%lld,%d,%d,%lld,%lld,%lld,%d,%.17g,%.17g,%.17g,%.17g\n",
                    static_cast<long long>(r.pod_id), r.app_id, static_cast<int>(r.slo),
                    static_cast<long long>(r.submit_tick),
                    static_cast<long long>(r.schedule_tick),

@@ -12,7 +12,8 @@ namespace optum {
 
 // Writes the bundle as a set of CSVs under `directory` (created if needed):
 // nodes.csv, pods.csv, node_usage.csv, pod_usage.csv, lifecycles.csv.
-// Returns false (with errno intact) on I/O failure.
+// Every double is written with %.17g, so ReadTraceBundle returns exactly
+// the bundle written. Returns false (with errno intact) on I/O failure.
 bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory);
 
 // Reads a bundle previously written by WriteTraceBundle. Returns false on

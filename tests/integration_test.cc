@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <map>
+#include <string>
 
 #include "src/stats/descriptive.h"
 
@@ -115,23 +116,39 @@ TEST_F(PipelineTest, OptumMatchesOrBeatsBaselineUtilization) {
   EXPECT_GE(optum_result.scheduled_pods, baseline_result_->scheduled_pods * 9 / 10);
 }
 
+// Every field of every table must survive the round trip, with each row
+// in its place (the row types compare every field).
+template <typename Rows>
+void ExpectSameRows(const Rows& loaded, const Rows& original, const char* table) {
+  ASSERT_EQ(loaded.size(), original.size()) << table;
+  for (size_t i = 0; i < original.size(); ++i) {
+    ASSERT_TRUE(loaded[i] == original[i]) << table << " row " << i;
+  }
+}
+
 TEST_F(PipelineTest, TraceRoundTripPreservesProfilingInputs) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "optum_integration_trace").string();
-  ASSERT_TRUE(WriteTraceBundle(baseline_result_->trace, dir));
+  const TraceBundle& trace = baseline_result_->trace;
+  ASSERT_TRUE(WriteTraceBundle(trace, dir));
   TraceBundle loaded;
   ASSERT_TRUE(ReadTraceBundle(dir, &loaded));
-  EXPECT_EQ(loaded.pods.size(), baseline_result_->trace.pods.size());
-  EXPECT_EQ(loaded.pod_usage.size(), baseline_result_->trace.pod_usage.size());
-  // The ERO table built from the round-tripped trace matches closely.
+  ExpectSameRows(loaded.nodes, trace.nodes, "nodes");
+  ExpectSameRows(loaded.pods, trace.pods, "pods");
+  ExpectSameRows(loaded.node_usage, trace.node_usage, "node_usage");
+  ExpectSameRows(loaded.pod_usage, trace.pod_usage, "pod_usage");
+  ExpectSameRows(loaded.lifecycles, trace.lifecycles, "lifecycles");
+  // So the ERO table built from the round-tripped trace is the same table,
+  // built by the same sequence of observations.
   core::OfflineProfiler profiler;
-  const EroTable original = profiler.BuildEroTable(baseline_result_->trace);
+  const EroTable original = profiler.BuildEroTable(trace);
   const EroTable reloaded = profiler.BuildEroTable(loaded);
   EXPECT_EQ(original.size(), reloaded.size());
+  EXPECT_EQ(original.version(), reloaded.version());
   for (const auto& a : workload_->apps) {
     for (const auto& b : workload_->apps) {
       if (a.id <= b.id && original.Contains(a.id, b.id)) {
-        EXPECT_NEAR(original.Get(a.id, b.id), reloaded.Get(a.id, b.id), 1e-4);
+        EXPECT_EQ(original.Get(a.id, b.id), reloaded.Get(a.id, b.id));
       }
     }
   }

@@ -5,9 +5,11 @@
 // admission accounting, serve counters, and SLO-violation accounting match
 // recorded goldens for every {pipeline_depth} × {ingest_threads}
 // combination and across repeated runs, and so do the shards' decision-log
-// bytes; the admission queue survives genuinely concurrent offers; and a
-// speculative score finalized after cluster mutation equals a fresh
-// PlaceScored. Labeled `concurrency` so the suite
+// bytes; a 4-shard run beside busy threads, which deschedule crew lanes so
+// other lanes steal their shards, matches the quiet run's goldens down to
+// the per-shard profile counts; the admission queue survives genuinely
+// concurrent offers; and a speculative score finalized after cluster
+// mutation equals a fresh PlaceScored. Labeled `concurrency` so the suite
 // also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include "src/obs/decision_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/pressure.h"
+#include "src/obs/profiler.h"
 #include "src/obs/span_log.h"
 #include "src/sched/baselines.h"
 #include "src/serve/placement_service.h"
@@ -85,6 +88,9 @@ struct RunResult {
   // Each shard's decision-log bytes, in shard order; empty unless the run
   // attached decision logs.
   std::vector<std::string> decision_logs;
+  // RoundProfiler::RenderCounts (per-window, per-shard, per-phase scope
+  // counts); empty unless the run attached a profiler.
+  std::string profile_counts;
 };
 
 std::string ReadFile(const std::string& path) {
@@ -96,14 +102,16 @@ std::string ReadFile(const std::string& path) {
 
 // One service run in a mild-overload regime with departures, so requeues,
 // waits, epoch churn, and SLO violations all occur — the paths speculation
-// has to get right. With `log_decisions`, every shard writes a decision log.
+// has to get right. With `log_decisions`, every shard writes a decision log;
+// with `profile`, a RoundProfiler is attached.
 RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads,
-                       bool log_decisions = false) {
+                       bool log_decisions = false, size_t num_shards = 2,
+                       bool profile = false) {
   const ServeWorld& world = World();
   serve::ServeConfig config;
   config.arrival.offered_pods_per_sec = 120.0;
   config.arrival.round_seconds = 1.0;
-  config.distributed.num_schedulers = 2;
+  config.distributed.num_schedulers = num_shards;
   config.distributed.max_attempts_per_pod = 8;
   config.queue_capacity_per_shard = 1024;
   config.max_schedule_per_round = 48;  // mild overload: nonzero waits
@@ -123,6 +131,14 @@ RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads,
   serve::PlacementService service(world.workload, world.profiles, &cluster,
                                   config);
   service.set_pressure_monitor(&monitor);
+  obs::RoundProfiler::Options popts;
+  popts.window_rounds = 8;
+  obs::RoundProfiler profiler(popts);
+  if (profile) {
+    obs::Sinks sinks;
+    sinks.profile = &profiler;
+    service.AttachSinks(sinks);
+  }
   std::vector<std::string> log_paths;
   std::vector<std::unique_ptr<obs::DecisionLog>> logs;
   if (log_decisions) {
@@ -141,12 +157,16 @@ RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads,
   service.RunRounds(10);
   service.Drain();
   monitor.Finalize();
+  profiler.Finalize();
 
   RunResult out;
   logs.clear();  // closes (flushes) the files
   for (const std::string& path : log_paths) {
     out.decision_logs.push_back(ReadFile(path));
     std::remove(path.c_str());
+  }
+  if (profile) {
+    out.profile_counts = profiler.RenderCounts();
   }
   out.row = serve::RenderLatencyRow(service.MakeLatencyRow());
   out.placed = service.PlacedPodIds();
@@ -284,6 +304,67 @@ TEST(PipelinedServeTest, DecisionLogBytesIdenticalAcrossMatrix) {
   }
   // The logged shards really speculated.
   EXPECT_GT(pipelined_kept_evals, 0u);
+}
+
+// Goldens for the 4-shard RunPipelined with a profiler attached, recorded
+// on a quiet box from the crew that ran every shard on its own lane.
+constexpr char kGolden4Row[] =
+    R"({"hosts":300,"shards":4,"offered_pods_per_sec":120,"process":"poisson",)"
+    R"("rounds":25,"round_seconds":1,"arrivals":1184,"admitted":1184,)"
+    R"("rejected_full":0,"placed":1184,"dropped":0,"conflicts":95,)"
+    R"("latency_s_p50":6.870325498,"latency_s_p99":14.99705894,)"
+    R"("latency_s_p999":14.99705894,"latency_s_max":15,)"
+    R"("latency_s_mean":7.379222973})";
+constexpr size_t kGolden4CountsSize = 28759;
+constexpr uint64_t kGolden4CountsDigest = 3732232214040287075ULL;
+
+// Busy-spinning threads beside the test body: on a box with few cores they
+// deschedule crew lanes mid-round, so a lane that is free steals a late
+// lane's shard. Joined on destruction.
+class BusyThreads {
+ public:
+  explicit BusyThreads(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      threads_.emplace_back([this] {
+        while (!stop_.load(std::memory_order_relaxed)) {
+        }
+      });
+    }
+  }
+  ~BusyThreads() {
+    stop_.store(true, std::memory_order_relaxed);
+    for (std::thread& t : threads_) {
+      t.join();
+    }
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
+// Shards run by threads other than their own leave every export as it is:
+// placements, latency rows and each shard's profile scope counts.
+TEST(PipelinedServeTest, FourShardRunBitIdenticalBesideBusyThreads) {
+  const RunResult quiet = RunPipelined(/*pipeline_depth=*/1, /*ingest_threads=*/0,
+                                       /*log_decisions=*/false, /*num_shards=*/4,
+                                       /*profile=*/true);
+  EXPECT_EQ(quiet.row, kGolden4Row);
+  EXPECT_EQ(testing_golden::PlacedSetDigest(quiet.placed), kGoldenPlacedDigest);
+  EXPECT_EQ(quiet.profile_counts.size(), kGolden4CountsSize);
+  EXPECT_EQ(testing_golden::Fnv1a64(quiet.profile_counts), kGolden4CountsDigest);
+
+  // One busy thread per core (at most 8) outnumbers the crew's lanes.
+  const BusyThreads busy(std::clamp<size_t>(std::thread::hardware_concurrency(), 2, 8));
+  for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (const size_t ingest : {size_t{0}, size_t{1}}) {
+      SCOPED_TRACE("depth=" + std::to_string(depth) + " ingest=" + std::to_string(ingest));
+      const RunResult r = RunPipelined(depth, ingest, /*log_decisions=*/false,
+                                       /*num_shards=*/4, /*profile=*/true);
+      ExpectSameRun(r, quiet);
+      EXPECT_EQ(r.profile_counts, quiet.profile_counts);
+    }
+  }
 }
 
 // BeginSpeculative → cluster mutation → FinalizeSpeculative must equal a

@@ -1,14 +1,16 @@
 // ShardCrew (src/common/shard_crew.h): the persistent spin-then-park lane
-// crew the §4.4 coordinator runs its shard decisions on. Pins the contract
-// the coordinator relies on — every lane runs exactly once per round with
-// the caller as lane 0, lane writes are visible to the caller when Run()
-// returns, a one-lane crew starts no thread, destruction joins parked
-// lanes, and a lane's exception reaches the caller instead of terminating
-// the process. ParallelFor, the chunked index loop the simulator's tick and
-// the forest fit run on, must run every index exactly once at any chunk
-// size, stay reusable over thousands of rounds and propagate a throwing
-// body; a simulator's lanes live and die with it. Labeled `concurrency` so
-// tools/sanitize_runner.sh also runs it under TSan and ASan+UBSan.
+// crew that the §4.4 coordinator's shards, the simulator's tick and the
+// forest fit all run on, through its one round type, ParallelFor. Pins the
+// contract they rely on: every index runs exactly once per round at any
+// chunk size, whichever lane claims it; writes are visible to the caller
+// when the round returns; parked lanes wake for later rounds; a one-lane
+// crew starts no thread and a 4-shard coordinator adds 3; destruction
+// joins parked lanes; the crew stays reusable over thousands of rounds;
+// and a throwing index neither stops the round nor terminates the process:
+// every index still runs, and the lowest throwing index's exception
+// reaches the caller. A simulator's lanes live and die with it. Labeled
+// `concurrency` so tools/sanitize_runner.sh also runs it under TSan and
+// ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,26 +32,22 @@ namespace optum {
 namespace {
 
 TEST(ShardCrewTest, EveryLaneRunsOncePerRoundAndCallerIsLaneZero) {
+  // The coordinator's shape: one index per lane, chunk 1. Which thread runs
+  // an index is not fixed (a late lane's home is stolen), so only the
+  // once-per-round count is pinned.
   ShardCrew crew(4);
   ASSERT_EQ(crew.num_lanes(), 4u);
-  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::atomic<int>> runs(crew.num_lanes());
-  std::vector<std::thread::id> lane_thread(crew.num_lanes());
   for (int round = 1; round <= 50; ++round) {
-    crew.Run([&](size_t lane) {
-      ASSERT_LT(lane, runs.size());
-      runs[lane].fetch_add(1, std::memory_order_relaxed);
-      lane_thread[lane] = std::this_thread::get_id();
-    });
+    crew.ParallelFor(
+        crew.num_lanes(),
+        [&](size_t lane) {
+          ASSERT_LT(lane, runs.size());
+          runs[lane].fetch_add(1, std::memory_order_relaxed);
+        },
+        /*chunk=*/1);
     for (size_t lane = 0; lane < runs.size(); ++lane) {
       ASSERT_EQ(runs[lane].load(), round) << "lane " << lane;
-    }
-    EXPECT_EQ(lane_thread[0], caller);
-    for (size_t lane = 1; lane < lane_thread.size(); ++lane) {
-      EXPECT_NE(lane_thread[lane], caller) << "lane " << lane;
-      for (size_t other = lane + 1; other < lane_thread.size(); ++other) {
-        EXPECT_NE(lane_thread[lane], lane_thread[other]);
-      }
     }
   }
 }
@@ -63,7 +61,7 @@ TEST(ShardCrewTest, LaneWritesVisibleAfterManyBackToBackRounds) {
   std::vector<uint64_t> slot(kLanes, 0);
   uint64_t sum = 0;
   for (uint64_t round = 1; round <= kRounds; ++round) {
-    crew.Run([&](size_t lane) { slot[lane] = round * (lane + 1); });
+    crew.ParallelFor(kLanes, [&](size_t lane) { slot[lane] = round * (lane + 1); }, 1);
     for (size_t lane = 0; lane < kLanes; ++lane) {
       if (slot[lane] != round * (lane + 1)) {
         FAIL() << "round " << round << " lane " << lane << " read " << slot[lane];
@@ -76,12 +74,29 @@ TEST(ShardCrewTest, LaneWritesVisibleAfterManyBackToBackRounds) {
 
 TEST(ShardCrewTest, ParkedLanesWakeForLaterRounds) {
   // Rounds spaced far beyond the spin budget, so every crew thread parks
-  // between them and must be woken by the next epoch increment.
+  // between them and must be woken by the next epoch increment. Each index
+  // waits until all three have started, so the caller cannot run them all
+  // alone: the round needs both parked lanes awake (the deadline only keeps
+  // a regression from hanging the test).
   ShardCrew crew(3);
   std::atomic<int> runs{0};
   for (int round = 0; round < 3; ++round) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    crew.Run([&](size_t) { runs.fetch_add(1); });
+    std::atomic<int> started{0};
+    std::atomic<int> met{0};
+    crew.ParallelFor(
+        3,
+        [&](size_t) {
+          started.fetch_add(1);
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (started.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          met.fetch_add(started.load() == 3 ? 1 : 0);
+          runs.fetch_add(1);
+        },
+        /*chunk=*/1);
+    EXPECT_EQ(met.load(), 3) << "round " << round;
   }
   EXPECT_EQ(runs.load(), 9);
 }
@@ -91,12 +106,21 @@ TEST(ShardCrewTest, SingleLaneCrewStartsNoThread) {
   EXPECT_EQ(crew.num_lanes(), 1u);
   const std::thread::id caller = std::this_thread::get_id();
   int runs = 0;
-  crew.Run([&](size_t lane) {
-    EXPECT_EQ(lane, 0u);
+  crew.ParallelFor(
+      crew.num_lanes(),
+      [&](size_t lane) {
+        EXPECT_EQ(lane, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++runs;
+      },
+      /*chunk=*/1);
+  EXPECT_EQ(runs, 1);
+  // Any range runs inline: there is no other thread to run it on.
+  crew.ParallelFor(100, [&](size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     ++runs;
   });
-  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(runs, 101);
 }
 
 // Threads of this process, from /proc (Linux); -1 when unavailable.
@@ -142,7 +166,7 @@ TEST(ShardCrewTest, DestructionWhileLanesParkedJoinsCleanly) {
   for (int i = 0; i < 20; ++i) {
     ShardCrew crew(4);
     if (i % 2 == 0) {
-      crew.Run([](size_t) {});
+      crew.ParallelFor(crew.num_lanes(), [](size_t) {}, 1);
     }
     // Odd iterations destroy a crew that never ran; even ones a crew whose
     // lanes have spun out their budget and parked.
@@ -155,37 +179,51 @@ TEST(ShardCrewTest, LaneExceptionIsRethrownOnCallerAfterBarrier) {
   ShardCrew crew(4);
   std::vector<std::atomic<int>> finished(crew.num_lanes());
   try {
-    crew.Run([&](size_t lane) {
-      if (lane == 2) {
-        throw std::runtime_error("lane 2 failed");
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      finished[lane].fetch_add(1);
-    });
+    crew.ParallelFor(
+        crew.num_lanes(),
+        [&](size_t lane) {
+          if (lane == 2) {
+            throw std::runtime_error("lane 2 failed");
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          finished[lane].fetch_add(1);
+        },
+        /*chunk=*/1);
     FAIL() << "the lane exception was lost";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()), "lane 2 failed");
   }
-  // The rethrow waited for the barrier: every other lane had finished.
+  // The rethrow waited for the round: every other index had finished.
   EXPECT_EQ(finished[0].load(), 1);
   EXPECT_EQ(finished[1].load(), 1);
   EXPECT_EQ(finished[3].load(), 1);
 
-  // The lowest throwing lane wins, the caller's own lane included.
-  try {
-    crew.Run([](size_t lane) {
-      if (lane == 0 || lane == 3) {
-        throw std::runtime_error("lane " + std::to_string(lane));
-      }
-    });
-    FAIL() << "the lane exceptions were lost";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "lane 0");
+  // The lowest throwing index wins, whichever thread ran it, and the
+  // indices after a throw on the same lane still run.
+  for (int round = 0; round < 100; ++round) {
+    std::vector<std::atomic<int>> ran(crew.num_lanes());
+    try {
+      crew.ParallelFor(
+          crew.num_lanes(),
+          [&](size_t lane) {
+            ran[lane].fetch_add(1);
+            if (lane == 0 || lane == 3) {
+              throw std::runtime_error("lane " + std::to_string(lane));
+            }
+          },
+          /*chunk=*/1);
+      FAIL() << "the lane exceptions were lost";
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()), "lane 0") << "round " << round;
+    }
+    for (size_t lane = 0; lane < ran.size(); ++lane) {
+      ASSERT_EQ(ran[lane].load(), 1) << "round " << round << ", lane " << lane;
+    }
   }
 
   // Captured errors do not leak into the next round.
   std::atomic<int> runs{0};
-  crew.Run([&](size_t) { runs.fetch_add(1); });
+  crew.ParallelFor(crew.num_lanes(), [&](size_t) { runs.fetch_add(1); }, 1);
   EXPECT_EQ(runs.load(), 4);
 }
 
@@ -254,16 +292,18 @@ TEST(ShardCrewParallelForTest, ReusableAcrossThousandsOfRounds) {
 }
 
 TEST(ShardCrewParallelForTest, InterleavesWithRunRounds) {
-  // Open ParallelFor rounds and every-lane Run rounds back to back: a crew
-  // thread late for an open round must neither run a later Run round twice
-  // nor miss one. Plain slots, so TSan checks the ordering too.
+  // Chunk-1 rounds of one index per lane (the coordinator's shape) and
+  // chunk-16 rounds (the simulator's) back to back: a crew thread late for
+  // one round must join the next one with that round's chunking, and run
+  // none of its indices twice or miss one. Plain slots, so TSan checks the
+  // ordering too.
   ShardCrew crew(4);
   std::vector<uint64_t> lane_runs(crew.num_lanes(), 0);
   std::vector<uint64_t> slot(200, 0);
   constexpr uint64_t kRounds = 1000;
   for (uint64_t round = 1; round <= kRounds; ++round) {
-    crew.ParallelFor(slot.size(), [&](size_t i) { ++slot[i]; });
-    crew.Run([&](size_t lane) { ++lane_runs[lane]; });
+    crew.ParallelFor(slot.size(), [&](size_t i) { ++slot[i]; }, /*chunk=*/16);
+    crew.ParallelFor(crew.num_lanes(), [&](size_t lane) { ++lane_runs[lane]; }, /*chunk=*/1);
   }
   for (size_t i = 0; i < slot.size(); ++i) {
     ASSERT_EQ(slot[i], kRounds) << "index " << i;
@@ -275,10 +315,13 @@ TEST(ShardCrewParallelForTest, InterleavesWithRunRounds) {
 
 TEST(ShardCrewParallelForTest, ThrowingBodyPropagates) {
   ShardCrew crew(4);
-  // 3 indices run inline on the caller; 1,000 run on the crew.
+  // 3 indices run inline on the caller; 1,000 run on the crew. Index 2 is
+  // in the caller's home chunk: the rest of the round still runs.
   for (const size_t n : {size_t{3}, size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
     try {
-      crew.ParallelFor(n, [](size_t i) {
+      crew.ParallelFor(n, [&](size_t i) {
+        hits[i].fetch_add(1);
         if (i == 2) {
           throw std::runtime_error("index 2");
         }
@@ -287,11 +330,16 @@ TEST(ShardCrewParallelForTest, ThrowingBodyPropagates) {
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()), "index 2");
     }
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "n " << n << ", index " << i;
+    }
   }
+  std::vector<std::atomic<int>> hits(30);
   try {
     crew.ParallelFor(
         30,
-        [](size_t i) {
+        [&](size_t i) {
+          hits[i].fetch_add(1);
           if (i == 17) {
             throw std::runtime_error("index 17");
           }
@@ -300,6 +348,23 @@ TEST(ShardCrewParallelForTest, ThrowingBodyPropagates) {
     FAIL() << "the exception was lost with chunk 1";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()), "index 17");
+  }
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "chunk 1, index " << i;
+  }
+  // Many throwing indices spread over every lane: the lowest one's
+  // exception is rethrown on every round, whichever lane ran it.
+  for (int round = 0; round < 50; ++round) {
+    try {
+      crew.ParallelFor(1000, [](size_t i) {
+        if (i % 100 == 99) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      FAIL() << "the exceptions were lost";
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()), "index 99") << "round " << round;
+    }
   }
   // The crew stays usable after a throw.
   std::atomic<int> runs{0};

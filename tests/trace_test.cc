@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -312,6 +314,38 @@ TEST(TraceIoTest, RoundTripPreservesRecords) {
   ASSERT_EQ(loaded.lifecycles.size(), 1u);
   EXPECT_EQ(loaded.lifecycles[0].finish_tick, -1);
   EXPECT_NEAR(loaded.lifecycles[0].waiting_seconds, 60, 1e-6);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceIoTest, WidestPodUsageRowFitsTheReaderLine) {
+  // Every field at its widest %.17g or integer rendering: the row still fits
+  // the reader's 512-byte line buffer and reads back exactly.
+  constexpr double kWidest = -2.2250738585072014e-308;  // 24 characters
+  TraceBundle bundle;
+  PodUsageRecord r;
+  r.pod_id = std::numeric_limits<PodId>::min();
+  r.host = std::numeric_limits<HostId>::min();
+  r.collect_tick = std::numeric_limits<Tick>::min();
+  for (double* v : {&r.cpu_usage, &r.mem_usage, &r.disk_usage, &r.cpu_psi_10, &r.cpu_psi_60,
+                    &r.cpu_psi_300, &r.mem_psi_some_60, &r.mem_psi_full_60, &r.qps,
+                    &r.response_time}) {
+    *v = kWidest;
+  }
+  bundle.pod_usage.push_back(r);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "optum_trace_io_widest").string();
+  ASSERT_TRUE(WriteTraceBundle(bundle, dir));
+  std::ifstream in(dir + "/pod_usage.csv");
+  std::string header;
+  std::string row;
+  ASSERT_TRUE(std::getline(in, header));
+  ASSERT_TRUE(std::getline(in, row));
+  EXPECT_EQ(row.size(), 20u + 11u + 20u + 10u * 24u + 12u);  // 12 commas
+  EXPECT_LT(row.size() + 1, 512u);  // the row and its newline fit
+  TraceBundle loaded;
+  ASSERT_TRUE(ReadTraceBundle(dir, &loaded));
+  ASSERT_EQ(loaded.pod_usage.size(), 1u);
+  EXPECT_TRUE(loaded.pod_usage[0] == r);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Builds the sanitizer presets and runs the `concurrency`- and
-# `observability`-labeled ctest subsets under each — the shard-crew barrier
-# and open ParallelFor rounds, simulator lane invariance and the simulator
-# fixtures that run its tick on the crew (sim_test), concurrent-scheduler
-# invariance, interference-table fill, the chunked pod-usage row store's
-# parallel fill, host-baseline stress, and metrics-registry
-# tests that guard the coordinator's shard lanes, the simulator tick's crew
-# and the lane-sharded metric shards.
+# `observability`-labeled ctest subsets under each — the shard crew's one
+# round type (affinity-first open rounds, run by the §4.4 coordinator's
+# shards, the simulator tick and the forest fit), the 4-shard coordinators
+# (core_distributed_test) and the 4-shard serve run beside busy threads
+# (serve_pipeline_test), where lanes steal each other's shards; simulator
+# lane invariance and the simulator fixtures that run its tick on the crew
+# (sim_test), concurrent-scheduler invariance, interference-table fill, the
+# chunked pod-usage row store's parallel fill, host-baseline stress, and
+# metrics-registry tests that guard the coordinator's shard lanes and the
+# lane-sharded metric shards.
 #
 #   tools/sanitize_runner.sh [tsan|asan-ubsan|all]   (default: all)
 #
@@ -21,7 +24,7 @@ CONCURRENCY_TARGETS=(concurrency_test cache_property_test interference_table_tes
                      span_timeseries_test compiled_forest_test
                      serve_test serve_pipeline_test
                      latency_percentile_test pressure_slo_test profiler_test
-                     shard_crew_test chunked_rows_test)
+                     shard_crew_test chunked_rows_test core_distributed_test)
 
 # Guard: every test registered in tests/CMakeLists.txt with a concurrency or
 # observability label must be in CONCURRENCY_TARGETS, or the sanitizer pass
