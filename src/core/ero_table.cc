@@ -1,6 +1,7 @@
 #include "src/core/ero_table.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "src/common/check.h"
 
@@ -75,6 +76,69 @@ double EroTable::GetTriple(AppId a, AppId b, AppId c) const {
 
 bool EroTable::ContainsTriple(AppId a, AppId b, AppId c) const {
   return triple_table_.find(TripleKey(a, b, c)) != triple_table_.end();
+}
+
+void ColocationGroup::Add(AppId app, double cpu, double cpu_request) {
+  for (Rep& r : reps_) {
+    if (r.app != app) {
+      continue;
+    }
+    if (cpu > r.cpu) {
+      r.cpu2 = r.cpu;
+      r.cpu2_request = r.cpu_request;
+      r.cpu = cpu;
+      r.cpu_request = cpu_request;
+      r.has_second = true;
+    } else if (!r.has_second || cpu > r.cpu2) {
+      r.cpu2 = cpu;
+      r.cpu2_request = cpu_request;
+      r.has_second = true;
+    }
+    return;
+  }
+  reps_.push_back(Rep{app, cpu, cpu_request});
+}
+
+void ColocationGroup::ObserveInto(EroTable* ero, size_t triple_cap) {
+  const size_t n = reps_.size();
+  for (size_t a = 0; a < n; ++a) {
+    const Rep& ra = reps_[a];
+    if (ra.has_second && ra.cpu_request + ra.cpu2_request > 0) {
+      ero->Observe(ra.app, ra.app, (ra.cpu + ra.cpu2) / (ra.cpu_request + ra.cpu2_request));
+    }
+    for (size_t b = a + 1; b < n; ++b) {
+      const Rep& rb = reps_[b];
+      const double denom = ra.cpu_request + rb.cpu_request;
+      if (denom > 0) {
+        ero->Observe(ra.app, rb.app, (ra.cpu + rb.cpu) / denom);
+      }
+    }
+  }
+  const size_t k = std::min(triple_cap, n);
+  if (k < 3) {
+    return;
+  }
+  // The heaviest k representatives in a total order, so the selection and
+  // each triple's summation order do not depend on the order of Add calls.
+  top_.clear();
+  for (const Rep& r : reps_) {
+    top_.push_back(&r);
+  }
+  std::partial_sort(top_.begin(), top_.begin() + static_cast<std::ptrdiff_t>(k), top_.end(),
+                    [](const Rep* x, const Rep* y) {
+                      return x->cpu != y->cpu ? x->cpu > y->cpu : x->app < y->app;
+                    });
+  for (size_t x = 0; x < k; ++x) {
+    for (size_t y = x + 1; y < k; ++y) {
+      for (size_t z = y + 1; z < k; ++z) {
+        const double denom = top_[x]->cpu_request + top_[y]->cpu_request + top_[z]->cpu_request;
+        if (denom > 0) {
+          ero->ObserveTriple(top_[x]->app, top_[y]->app, top_[z]->app,
+                             (top_[x]->cpu + top_[y]->cpu + top_[z]->cpu) / denom);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace optum

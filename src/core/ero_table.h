@@ -103,6 +103,43 @@ class EroTable {
   uint64_t version_ = 0;
 };
 
+// One co-location sample: the pods of one host at one tick, reduced to the
+// ERO observations they make (Eq. 4-5). The offline profiler feeds it each
+// (tick, host) group of a trace, the scheduler each live host; both go
+// through the same ObserveInto, so the two tables cannot drift.
+//
+// Per application it keeps the two highest-usage pods. Pod requests are
+// homogeneous within an application, so these representatives realize the
+// maximum RO over all co-located pod pairs, both across applications and
+// within one (the full cross-product would be quadratic in pods per host).
+// Each unordered pair and each triple is observed at most once per sample,
+// so the order in which pods are added changes neither a stored value nor
+// the version bump count (DESIGN.md "ERO extraction").
+class ColocationGroup {
+ public:
+  void Reset() { reps_.clear(); }
+
+  void Add(AppId app, double cpu, double cpu_request);
+
+  // Observes the same-application pairs, then the cross-application pairs,
+  // then the triples among the `triple_cap` heaviest representatives
+  // (ordered by cpu descending, app id ascending; 0 or < 3 observes no
+  // triple). A ratio whose request sum is not positive is skipped.
+  void ObserveInto(EroTable* ero, size_t triple_cap);
+
+ private:
+  struct Rep {
+    AppId app;
+    double cpu;  // highest usage
+    double cpu_request;
+    bool has_second = false;
+    double cpu2 = 0.0;  // second-highest usage, when has_second
+    double cpu2_request = 0.0;
+  };
+  std::vector<Rep> reps_;         // first-seen order, one per application
+  std::vector<const Rep*> top_;   // triple scratch
+};
+
 }  // namespace optum
 
 #endif  // OPTUM_SRC_CORE_ERO_TABLE_H_

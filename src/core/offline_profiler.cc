@@ -187,107 +187,50 @@ AppDatasets OfflineProfiler::ExtractDatasets(const TraceBundle& trace) const {
 EroTable OfflineProfiler::BuildEroTable(const TraceBundle& trace) const {
   EroTable ero;
   const auto pods = IndexPods(trace);
+  const size_t triple_cap = config_.enable_triple_ero ? config_.triple_top_k : 0;
+  const ChunkedRows<PodUsageRecord>& rows = trace.pod_usage;
 
-  // Group usage records by (tick, host). Records are appended tick-major by
-  // the simulator, so a sort by (tick, host) groups them with one pass.
-  struct Obs {
-    Tick tick;
-    HostId host;
-    AppId app;
-    double cpu;
-    double cpu_request;
-  };
-  std::vector<Obs> observations;
-  observations.reserve(trace.pod_usage.size());
-  for (const auto& rec : trace.pod_usage) {
-    const auto it = pods.find(rec.pod_id);
-    if (it == pods.end()) {
-      continue;
-    }
-    observations.push_back(Obs{rec.collect_tick, rec.host, it->second.app, rec.cpu_usage,
-                               it->second.request.cpu});
-  }
-  std::sort(observations.begin(), observations.end(), [](const Obs& a, const Obs& b) {
-    if (a.tick != b.tick) return a.tick < b.tick;
-    return a.host < b.host;
-  });
-
-  // Per group, keep the two highest-usage pods per application. Within an
-  // application pod requests are homogeneous, so these representatives
-  // realize the max pairwise RO both across applications and within one
-  // (the full cross-product would be quadratic in pods per host).
-  struct Top2 {
-    Obs best;
-    bool has_second = false;
-    Obs second;
-  };
-  std::unordered_map<AppId, Top2> reps;
+  // Rows are tick-major, but within a tick they follow the recorder's pod
+  // order, not host order. Per tick, a stable counting pass over host ids
+  // buckets the rows; the (tick, host) groups are then observed in
+  // ascending (tick, host) order without copying or sorting the rows.
+  std::vector<size_t> host_end;  // per host id: end of its bucket in `bucket`
+  std::vector<const PodUsageRecord*> bucket;
+  ColocationGroup group;
   size_t i = 0;
-  while (i < observations.size()) {
+  while (i < rows.size()) {
+    const Tick tick = rows[i].collect_tick;
+    HostId max_host = 0;
     size_t j = i;
-    reps.clear();
-    while (j < observations.size() && observations[j].tick == observations[i].tick &&
-           observations[j].host == observations[i].host) {
-      const Obs& o = observations[j];
-      auto [it, inserted] = reps.try_emplace(o.app, Top2{o, false, o});
-      if (!inserted) {
-        Top2& t = it->second;
-        if (o.cpu > t.best.cpu) {
-          t.second = t.best;
-          t.has_second = true;
-          t.best = o;
-        } else if (!t.has_second || o.cpu > t.second.cpu) {
-          t.second = o;
-          t.has_second = true;
-        }
-      }
-      ++j;
+    for (; j < rows.size() && rows[j].collect_tick == tick; ++j) {
+      OPTUM_CHECK_MSG(rows[j].host >= 0, "pod_usage host ids must be non-negative");
+      max_host = std::max(max_host, rows[j].host);
     }
-    // Pairwise RO over application representatives (Eq. 4-5), including
-    // same-application pairs (replicas of one service do co-locate).
-    for (auto a = reps.begin(); a != reps.end(); ++a) {
-      if (a->second.has_second) {
-        const double denom = a->second.best.cpu_request + a->second.second.cpu_request;
-        if (denom > 0) {
-          ero.Observe(a->first, a->first,
-                      (a->second.best.cpu + a->second.second.cpu) / denom);
-        }
-      }
-      auto b = a;
-      for (++b; b != reps.end(); ++b) {
-        const double denom = a->second.best.cpu_request + b->second.best.cpu_request;
-        if (denom <= 0) {
-          continue;
-        }
-        ero.Observe(a->first, b->first, (a->second.best.cpu + b->second.best.cpu) / denom);
-      }
+    OPTUM_CHECK_MSG(j == rows.size() || rows[j].collect_tick > tick,
+                    "pod_usage must be tick-major");
+    // Count into host_end[h + 1], prefix-sum to bucket starts, then place:
+    // each placement advances host_end[h], leaving it at the bucket's end.
+    host_end.assign(static_cast<size_t>(max_host) + 2, 0);
+    for (size_t r = i; r < j; ++r) {
+      ++host_end[static_cast<size_t>(rows[r].host) + 1];
     }
-    // Optional triple-wise profiling (§4.2.2 extension), limited to the
-    // heaviest applications in the group to bound the cubic cost.
-    if (config_.enable_triple_ero && reps.size() >= 3) {
-      std::vector<const Obs*> top;
-      top.reserve(reps.size());
-      for (const auto& [app, t] : reps) {
-        top.push_back(&t.best);
-      }
-      std::sort(top.begin(), top.end(),
-                [](const Obs* x, const Obs* y) { return x->cpu > y->cpu; });
-      if (top.size() > config_.triple_top_k) {
-        top.resize(config_.triple_top_k);
-      }
-      for (size_t x = 0; x < top.size(); ++x) {
-        for (size_t y = x + 1; y < top.size(); ++y) {
-          for (size_t z = y + 1; z < top.size(); ++z) {
-            const double denom =
-                top[x]->cpu_request + top[y]->cpu_request + top[z]->cpu_request;
-            if (denom <= 0) {
-              continue;
-            }
-            ero.ObserveTriple(top[x]->app, top[y]->app, top[z]->app,
-                              (top[x]->cpu + top[y]->cpu + top[z]->cpu) / denom);
-          }
+    for (size_t h = 1; h < host_end.size(); ++h) {
+      host_end[h] += host_end[h - 1];
+    }
+    bucket.resize(j - i);
+    for (size_t r = i; r < j; ++r) {
+      bucket[host_end[static_cast<size_t>(rows[r].host)]++] = &rows[r];
+    }
+    size_t begin = 0;
+    for (size_t h = 0; h <= static_cast<size_t>(max_host); ++h) {
+      group.Reset();
+      for (; begin < host_end[h]; ++begin) {
+        const auto it = pods.find(bucket[begin]->pod_id);
+        if (it != pods.end()) {
+          group.Add(it->second.app, bucket[begin]->cpu_usage, it->second.request.cpu);
         }
       }
+      group.ObserveInto(&ero, triple_cap);
     }
     i = j;
   }

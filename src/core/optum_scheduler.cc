@@ -312,72 +312,15 @@ void OptumScheduler::ObserveColocation(const ClusterState& cluster, Tick now) {
     return;
   }
   last_observe_ = now;
-  // Per host, the two highest-usage pods per application, then pairwise RO
-  // updates (including same-application pairs) — mirroring the offline
-  // Resource Usage Profiler.
-  struct Rep {
-    AppId app;
-    double cpu;
-    double cpu_request;
-    double cpu2 = -1.0;  // second-best usage; < 0 when absent
-    double cpu2_request = 0.0;
-  };
-  std::vector<Rep> reps;
+  // Each host is one co-location sample, observed in host order through the
+  // same ColocationGroup step as the offline profiler's (tick, host) groups.
+  const size_t triple_cap = config_.use_triple_ero ? SIZE_MAX : 0;
   for (const Host& host : cluster.hosts()) {
-    if (host.pods.size() < 2) {
-      continue;
-    }
-    reps.clear();
+    colocation_.Reset();
     for (const PodRuntime* pod : host.pods) {
-      bool merged = false;
-      for (auto& r : reps) {
-        if (r.app == pod->spec.app) {
-          if (pod->cpu_usage > r.cpu) {
-            r.cpu2 = r.cpu;
-            r.cpu2_request = r.cpu_request;
-            r.cpu = pod->cpu_usage;
-            r.cpu_request = pod->spec.request.cpu;
-          } else if (pod->cpu_usage > r.cpu2) {
-            r.cpu2 = pod->cpu_usage;
-            r.cpu2_request = pod->spec.request.cpu;
-          }
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) {
-        reps.push_back(Rep{pod->spec.app, pod->cpu_usage, pod->spec.request.cpu});
-      }
+      colocation_.Add(pod->spec.app, pod->cpu_usage, pod->spec.request.cpu);
     }
-    for (size_t a = 0; a < reps.size(); ++a) {
-      if (reps[a].cpu2 >= 0.0) {
-        const double denom = reps[a].cpu_request + reps[a].cpu2_request;
-        if (denom > 0) {
-          profiles_->ero.Observe(reps[a].app, reps[a].app,
-                                 (reps[a].cpu + reps[a].cpu2) / denom);
-        }
-      }
-      for (size_t b = a + 1; b < reps.size(); ++b) {
-        const double denom = reps[a].cpu_request + reps[b].cpu_request;
-        if (denom <= 0) {
-          continue;
-        }
-        profiles_->ero.Observe(reps[a].app, reps[b].app,
-                               (reps[a].cpu + reps[b].cpu) / denom);
-        if (config_.use_triple_ero) {
-          for (size_t c = b + 1; c < reps.size(); ++c) {
-            const double denom3 =
-                reps[a].cpu_request + reps[b].cpu_request + reps[c].cpu_request;
-            if (denom3 <= 0) {
-              continue;
-            }
-            profiles_->ero.ObserveTriple(reps[a].app, reps[b].app, reps[c].app,
-                                         (reps[a].cpu + reps[b].cpu + reps[c].cpu) /
-                                             denom3);
-          }
-        }
-      }
-    }
+    colocation_.ObserveInto(&profiles_->ero, triple_cap);
   }
 }
 

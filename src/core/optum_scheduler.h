@@ -82,10 +82,12 @@ class OptumScheduler : public PlacementPolicy {
   PlacementDecision PlaceScored(const PodSpec& pod, const ClusterState& cluster,
                                 double* best_score);
 
-  // Online resource-usage profiling: records co-location observations from
-  // the current cluster state into the ERO table (paper §4.2.2 keeps ERO
-  // updated whenever observed peaks change; triples too when the scheduler
-  // runs in triple-wise mode). Call from the simulator's on_tick_end hook.
+  // Online resource-usage profiling: every observe_period ticks, feeds each
+  // host's pods, in host order, to the ColocationGroup step the offline
+  // profiler uses, raising the ERO table wherever an observed peak exceeds
+  // it (paper §4.2.2; triples over every application on the host when the
+  // scheduler runs in triple-wise mode). Call from the simulator's
+  // on_tick_end hook.
   void ObserveColocation(const ClusterState& cluster, Tick now);
 
   // Full evaluation of one candidate host against one pod: the predicted
@@ -247,6 +249,7 @@ class OptumScheduler : public PlacementPolicy {
   InterferencePredictor interference_predictor_;
   Rng rng_;
   Tick last_observe_ = -1;
+  ColocationGroup colocation_;  // ObserveColocation's per-host scratch
 
   // Per-scheduler scratch reused across PlaceScored calls (candidate
   // sampling working set, sampled candidates, their epochs and

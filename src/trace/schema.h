@@ -86,7 +86,10 @@ struct TraceBundle {
   std::vector<NodeMeta> nodes;
   std::vector<PodMeta> pods;
   std::vector<NodeUsageRecord> node_usage;
-  ChunkedRows<PodUsageRecord> pod_usage;  // the bulk of a trace's rows
+  // The bulk of a trace's rows. Tick-major (ticks never decrease from one
+  // row to the next) with host ids >= 0; within a tick rows may come in any
+  // host order. OfflineProfiler::BuildEroTable relies on both.
+  ChunkedRows<PodUsageRecord> pod_usage;
   std::vector<PodLifecycleRecord> lifecycles;
 };
 

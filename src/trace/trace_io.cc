@@ -236,12 +236,15 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
   {
     FilePtr f = OpenFor(directory, "pod_usage.csv", "r");
     if (!f) return false;
+    Tick last_tick = std::numeric_limits<Tick>::min();
     if (!ForEachRow(f.get(), 13, [&](const std::vector<double>& v) {
           PodUsageRecord r;
+          // pod_usage is tick-major with host ids >= 0 (see schema.h).
           if (!ParseInt(v[0], &r.pod_id) || !ParseInt(v[1], &r.host) ||
-              !ParseInt(v[2], &r.collect_tick)) {
+              !ParseInt(v[2], &r.collect_tick) || r.host < 0 || r.collect_tick < last_tick) {
             return false;
           }
+          last_tick = r.collect_tick;
           r.cpu_usage = v[3];
           r.mem_usage = v[4];
           r.disk_usage = v[5];

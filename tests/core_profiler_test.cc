@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "src/core/ero_table.h"
 #include "src/core/offline_profiler.h"
@@ -121,6 +123,154 @@ TEST(EroTablePropertyTest, CopiesStayIndependent) {
   EXPECT_EQ(copy.Get(40, 3), 0.1);
   EXPECT_EQ(copy.size(), 2u);
   EXPECT_EQ(copy.version(), 3u);
+}
+
+// --- The shared co-location step (Eq. 4-5) ------------------------------------
+
+// Random hosts fed through ColocationGroup, against a brute-force reference
+// of the definition: per host, the maximum RO over every co-located pod
+// pair, and over every pod triple of three distinct applications among the
+// triple_cap heaviest (per-app peak usage descending, app id ascending),
+// each triple summed in that order. Requests are per application, as in
+// the workload generator. Hosts hold 1 to 12 pods of up to 14 applications
+// (more than the cap of 4); a quarter of the usages are zero and another
+// quarter sit on a few shared levels, so ties occur. After every host the
+// table agrees with the reference on version(), size() and triple_size(),
+// and periodic sweeps agree on every pair and triple value.
+TEST(ColocationGroupPropertyTest, MatchesBruteForceDefinition) {
+  constexpr AppId kApps = 14;
+  constexpr size_t kTripleCap = 4;
+  Rng rng(53);
+  std::vector<double> request(kApps);
+  for (double& r : request) {
+    r = 0.05 * static_cast<double>(1 + rng.NextBelow(8));
+  }
+  EroTable ero;
+  ColocationGroup group;
+  std::map<std::pair<AppId, AppId>, double> pairs;
+  std::map<std::tuple<AppId, AppId, AppId>, double> triples;
+  uint64_t version = 0;
+  const auto observe = [&version](auto& table, const auto& key, double ratio) {
+    ratio = std::clamp(ratio, 0.0, 1.0);
+    const auto [it, inserted] = table.try_emplace(key, ratio);
+    if (inserted || ratio > it->second) {
+      it->second = ratio;
+      ++version;
+    }
+  };
+  const auto sorted_triple = [](AppId a, AppId b, AppId c) {
+    AppId ids[3] = {a, b, c};
+    std::sort(ids, ids + 3);
+    return std::make_tuple(ids[0], ids[1], ids[2]);
+  };
+  const auto check_all = [&] {
+    for (AppId a = 0; a < kApps; ++a) {
+      for (AppId b = 0; b < kApps; ++b) {
+        const auto it = pairs.find(std::minmax(a, b));
+        ASSERT_EQ(ero.Contains(a, b), it != pairs.end()) << a << ", " << b;
+        ASSERT_EQ(ero.Get(a, b), it != pairs.end() ? it->second : 1.0) << a << ", " << b;
+        for (AppId c = 0; c < kApps; ++c) {
+          const auto t = triples.find(sorted_triple(a, b, c));
+          ASSERT_EQ(ero.GetTriple(a, b, c), t != triples.end() ? t->second : -1.0)
+              << a << ", " << b << ", " << c;
+        }
+      }
+    }
+  };
+  struct Pod {
+    AppId app;
+    double cpu;
+  };
+  size_t single_pod_hosts = 0, zero_usages = 0, capped_hosts = 0, tied_hosts = 0;
+  for (int host = 0; host < 3000; ++host) {
+    const size_t num_apps = 1 + rng.NextBelow(kApps);
+    std::vector<Pod> pods(1 + rng.NextBelow(12));
+    for (Pod& pod : pods) {
+      pod.app = static_cast<AppId>(rng.NextBelow(num_apps));
+      const uint64_t kind = rng.NextBelow(4);
+      pod.cpu = kind == 0   ? 0.0
+                : kind == 1 ? 0.05 * static_cast<double>(1 + rng.NextBelow(3))
+                            : rng.Uniform(0.0, 1.5 * request[static_cast<size_t>(pod.app)]);
+      zero_usages += pod.cpu == 0.0 ? 1 : 0;
+    }
+    single_pod_hosts += pods.size() == 1 ? 1 : 0;
+    group.Reset();
+    for (const Pod& pod : pods) {
+      group.Add(pod.app, pod.cpu, request[static_cast<size_t>(pod.app)]);
+    }
+    group.ObserveInto(&ero, kTripleCap);
+
+    // Reference pairs: every co-located pod pair, same application included.
+    const auto req = [&](const Pod& p) { return request[static_cast<size_t>(p.app)]; };
+    std::map<std::pair<AppId, AppId>, double> host_pairs;
+    for (size_t i = 0; i < pods.size(); ++i) {
+      for (size_t j = i + 1; j < pods.size(); ++j) {
+        const double ratio = (pods[i].cpu + pods[j].cpu) / (req(pods[i]) + req(pods[j]));
+        const auto [it, inserted] =
+            host_pairs.try_emplace(std::minmax(pods[i].app, pods[j].app), ratio);
+        it->second = std::max(it->second, ratio);
+      }
+    }
+    // Reference triples: rank applications by peak usage, keep the cap.
+    std::map<AppId, double> peak;
+    for (const Pod& pod : pods) {
+      const auto [it, inserted] = peak.try_emplace(pod.app, pod.cpu);
+      it->second = std::max(it->second, pod.cpu);
+    }
+    std::vector<AppId> ranked;
+    for (const auto& [app, cpu] : peak) {
+      ranked.push_back(app);
+    }
+    std::sort(ranked.begin(), ranked.end(), [&](AppId x, AppId y) {
+      return peak[x] != peak[y] ? peak[x] > peak[y] : x < y;
+    });
+    capped_hosts += ranked.size() > kTripleCap ? 1 : 0;
+    for (size_t r = 0; r + 1 < std::min(ranked.size(), kTripleCap); ++r) {
+      tied_hosts += peak[ranked[r]] == peak[ranked[r + 1]] ? 1 : 0;
+    }
+    if (ranked.size() > kTripleCap) {
+      ranked.resize(kTripleCap);
+    }
+    const auto rank = [&](AppId app) {
+      return static_cast<size_t>(std::find(ranked.begin(), ranked.end(), app) - ranked.begin());
+    };
+    std::map<std::tuple<AppId, AppId, AppId>, double> host_triples;
+    for (size_t i = 0; i < pods.size(); ++i) {
+      for (size_t j = i + 1; j < pods.size(); ++j) {
+        for (size_t l = j + 1; l < pods.size(); ++l) {
+          const Pod* three[3] = {&pods[i], &pods[j], &pods[l]};
+          std::sort(three, three + 3,
+                    [&](const Pod* x, const Pod* y) { return rank(x->app) < rank(y->app); });
+          if (rank(three[2]->app) >= ranked.size() || three[0]->app == three[1]->app ||
+              three[1]->app == three[2]->app) {
+            continue;
+          }
+          const double ratio = (three[0]->cpu + three[1]->cpu + three[2]->cpu) /
+                               (req(*three[0]) + req(*three[1]) + req(*three[2]));
+          const auto [it, inserted] = host_triples.try_emplace(
+              sorted_triple(three[0]->app, three[1]->app, three[2]->app), ratio);
+          it->second = std::max(it->second, ratio);
+        }
+      }
+    }
+    for (const auto& [key, ratio] : host_pairs) {
+      observe(pairs, key, ratio);
+    }
+    for (const auto& [key, ratio] : host_triples) {
+      observe(triples, key, ratio);
+    }
+    ASSERT_EQ(ero.version(), version) << "host " << host;
+    ASSERT_EQ(ero.size(), pairs.size()) << "host " << host;
+    ASSERT_EQ(ero.triple_size(), triples.size()) << "host " << host;
+    if (host % 500 == 0 || host == 2999) {
+      check_all();
+    }
+  }
+  // The cases the step must get right all occurred.
+  EXPECT_GT(single_pod_hosts, 0u);
+  EXPECT_GT(zero_usages, 0u);
+  EXPECT_GT(capped_hosts, 0u);
+  EXPECT_GT(tied_hosts, 0u);
 }
 
 // --- Offline profiler on a hand-crafted trace --------------------------------

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 
 #include "src/optum.h"
@@ -198,6 +200,133 @@ TEST(ConsistencyTest, OnlineAndOfflineEroAgreeOnSameObservations) {
               scheduler.profiles().ero.Get(app_a, app_b), 1e-12);
   EXPECT_NEAR(offline.Get(app_a, app_b), (cpu_a + cpu_b) / (req_a.cpu + req_b.cpu),
               1e-12);
+}
+
+// Every pair value and triple value of two tables, bit for bit, over app
+// ids [0, num_apps), then their sizes and version counts.
+void ExpectSameEro(const EroTable& a, const EroTable& b, AppId num_apps) {
+  for (AppId x = 0; x < num_apps; ++x) {
+    for (AppId y = x; y < num_apps; ++y) {
+      ASSERT_EQ(a.Get(x, y), b.Get(x, y)) << x << ", " << y;
+    }
+  }
+  for (AppId x = 0; x < num_apps; ++x) {
+    for (AppId y = x + 1; y < num_apps; ++y) {
+      for (AppId z = y + 1; z < num_apps; ++z) {
+        ASSERT_EQ(a.GetTriple(x, y, z), b.GetTriple(x, y, z)) << x << ", " << y << ", " << z;
+      }
+    }
+  }
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.triple_size(), b.triple_size());
+  EXPECT_EQ(a.version(), b.version());
+}
+
+AppId NumApps(const TraceBundle& trace) {
+  AppId num_apps = 0;
+  for (const PodMeta& meta : trace.pods) {
+    num_apps = std::max(num_apps, meta.app_id + 1);
+  }
+  return num_apps;
+}
+
+// A simulated multi-host cluster at one tick, written as a one-tick trace:
+// the offline profiler on that trace and ObserveColocation on a fresh
+// scheduler feed the same (tick, host) samples through one ColocationGroup
+// step, so they build the same table, triples included, value for value
+// and bump for bump. The rows are written in descending host order; the
+// profiler buckets them by host.
+TEST(ConsistencyTest, OfflineAndOnlineEroAgreeOnASimulatedCluster) {
+  WorkloadConfig workload_config;
+  workload_config.num_hosts = 24;
+  workload_config.horizon = kTicksPerHour;
+  workload_config.seed = 61;
+  const Workload workload = WorkloadGenerator(workload_config).Generate();
+  constexpr Tick kSnapshot = kTicksPerHour / 2;
+  core::OptumConfig online_config;
+  online_config.use_triple_ero = true;
+  core::OptumScheduler online(core::OptumProfiles{}, online_config);
+  TraceBundle trace;
+  size_t max_apps_per_host = 0;
+  SimConfig sim_config;
+  sim_config.max_attempts_per_tick = 1500;
+  sim_config.on_tick_end = [&](const ClusterState& cluster, Tick now) {
+    if (now != kSnapshot) {
+      return;
+    }
+    for (auto host = cluster.hosts().rbegin(); host != cluster.hosts().rend(); ++host) {
+      std::set<AppId> apps;
+      for (const PodRuntime* pod : host->pods) {
+        PodMeta meta;
+        meta.pod_id = pod->spec.id;
+        meta.app_id = pod->spec.app;
+        meta.slo = pod->spec.slo;
+        meta.request = pod->spec.request;
+        trace.pods.push_back(meta);
+        PodUsageRecord rec;
+        rec.pod_id = pod->spec.id;
+        rec.host = host->id;
+        rec.collect_tick = now;
+        rec.cpu_usage = pod->cpu_usage;
+        trace.pod_usage.push_back(rec);
+        apps.insert(pod->spec.app);
+      }
+      max_apps_per_host = std::max(max_apps_per_host, apps.size());
+    }
+    online.ObserveColocation(cluster, now);
+  };
+  AlibabaBaseline policy;
+  Simulator(workload, sim_config, policy).Run();
+
+  core::OfflineProfilerConfig prof;
+  prof.enable_triple_ero = true;
+  prof.triple_top_k = max_apps_per_host;  // no cap: online triples cover every app
+  const EroTable offline = core::OfflineProfiler(prof).BuildEroTable(trace);
+  ASSERT_GT(offline.size(), 0u);
+  ASSERT_GT(offline.triple_size(), 0u);
+  ExpectSameEro(offline, online.profiles().ero, NumApps(trace));
+}
+
+// BuildEroTable groups each tick's rows by host, and within one (tick, host)
+// group every pair and triple is observed once, so the row order inside a
+// tick is free. Shuffling every tick's rows of a simulated reference trace
+// (rows move within their (tick, host) group and across hosts) leaves the
+// table, triples included, and its version count unchanged.
+TEST(ConsistencyTest, BuildEroTableIgnoresRowOrderWithinATick) {
+  WorkloadConfig workload_config;
+  workload_config.num_hosts = 16;
+  workload_config.horizon = 2 * kTicksPerHour;
+  workload_config.seed = 67;
+  SimConfig sim_config;
+  sim_config.pod_usage_period = 5;
+  sim_config.max_attempts_per_tick = 1500;
+  AlibabaBaseline policy;
+  const SimResult ref =
+      Simulator(WorkloadGenerator(workload_config).Generate(), sim_config, policy).Run();
+  core::OfflineProfilerConfig prof;
+  prof.enable_triple_ero = true;
+  const core::OfflineProfiler profiler(prof);
+  const EroTable original = profiler.BuildEroTable(ref.trace);
+  ASSERT_GT(original.triple_size(), 0u);
+
+  TraceBundle shuffled = ref.trace;
+  ChunkedRows<PodUsageRecord>& rows = shuffled.pod_usage;
+  Rng rng(71);
+  size_t moved = 0;
+  for (size_t i = 0; i < rows.size();) {
+    size_t j = i;
+    while (j < rows.size() && rows[j].collect_tick == rows[i].collect_tick) {
+      ++j;
+    }
+    for (size_t k = j - 1; k > i; --k) {  // Fisher-Yates over [i, j)
+      const size_t pick = i + rng.NextBelow(k - i + 1);
+      moved += pick != k ? 1 : 0;
+      std::swap(rows[k], rows[pick]);
+    }
+    i = j;
+  }
+  ASSERT_GT(moved, 0u);
+  ExpectSameEro(original, profiler.BuildEroTable(shuffled), NumApps(ref.trace));
 }
 
 TEST(ConsistencyTest, UmbrellaHeaderCompilesAndExposesApi) {

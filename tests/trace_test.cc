@@ -318,13 +318,14 @@ TEST(TraceIoTest, RoundTripPreservesRecords) {
 }
 
 TEST(TraceIoTest, WidestPodUsageRowFitsTheReaderLine) {
-  // Every field at its widest %.17g or integer rendering: the row still fits
-  // the reader's 512-byte line buffer and reads back exactly.
+  // Every field at its widest %.17g or integer rendering that the reader
+  // accepts (a host id is non-negative): the row still fits the reader's
+  // 512-byte line buffer and reads back exactly.
   constexpr double kWidest = -2.2250738585072014e-308;  // 24 characters
   TraceBundle bundle;
   PodUsageRecord r;
   r.pod_id = std::numeric_limits<PodId>::min();
-  r.host = std::numeric_limits<HostId>::min();
+  r.host = std::numeric_limits<HostId>::max();
   r.collect_tick = std::numeric_limits<Tick>::min();
   for (double* v : {&r.cpu_usage, &r.mem_usage, &r.disk_usage, &r.cpu_psi_10, &r.cpu_psi_60,
                     &r.cpu_psi_300, &r.mem_psi_some_60, &r.mem_psi_full_60, &r.qps,
@@ -340,7 +341,7 @@ TEST(TraceIoTest, WidestPodUsageRowFitsTheReaderLine) {
   std::string row;
   ASSERT_TRUE(std::getline(in, header));
   ASSERT_TRUE(std::getline(in, row));
-  EXPECT_EQ(row.size(), 20u + 11u + 20u + 10u * 24u + 12u);  // 12 commas
+  EXPECT_EQ(row.size(), 20u + 10u + 20u + 10u * 24u + 12u);  // 12 commas
   EXPECT_LT(row.size() + 1, 512u);  // the row and its newline fit
   TraceBundle loaded;
   ASSERT_TRUE(ReadTraceBundle(dir, &loaded));
@@ -444,6 +445,28 @@ TEST(TraceIoTest, RejectsIdOrTickOutsideItsType) {
   }
 }
 
+// OfflineProfiler::BuildEroTable walks pod_usage tick by tick and buckets
+// each tick's rows by host id, so a row whose tick is below the previous
+// row's, or whose host is negative, is malformed. SampleBundle's one row is
+// at tick 100 on host 3.
+TEST(TraceIoTest, RejectsPodUsageTickBelowPreviousRow) {
+  EXPECT_TRUE(ReadsWithAppendedRow("order_control", "pod_usage.csv",
+                                   "43,0,100,0.2,0.1,0,0,0.15,0,0,0,120,9.5\n"));
+  EXPECT_FALSE(ReadsWithAppendedRow("order", "pod_usage.csv",
+                                    "43,3,99,0.2,0.1,0,0,0.15,0,0,0,120,9.5\n"));
+}
+
+TEST(TraceIoTest, RejectsPodUsageNegativeHost) {
+  EXPECT_TRUE(ReadsWithAppendedRow("host_control", "pod_usage.csv",
+                                   "43,0,101,0.2,0.1,0,0,0.15,0,0,0,120,9.5\n"));
+  for (const char* host : {"-1", "-2147483648"}) {
+    SCOPED_TRACE(host);
+    EXPECT_FALSE(ReadsWithAppendedRow("host", "pod_usage.csv",
+                                      "43," + std::string(host) +
+                                          ",101,0.2,0.1,0,0,0.15,0,0,0,120,9.5\n"));
+  }
+}
+
 TEST(TraceIoTest, RejectsCharactersAfterLastField) {
   EXPECT_TRUE(ReadsWithAppendedRow("tail_control", "node_usage.csv",
                                    "3,101,0.5,0.25,0.1,0.2 \r\n"));
@@ -467,7 +490,7 @@ TEST(TraceIoTest, RoundTripAcrossPodUsageChunks) {
     PodUsageRecord r;
     r.pod_id = static_cast<PodId>(i);
     r.host = static_cast<HostId>(i % 1000);
-    r.collect_tick = static_cast<Tick>(i / 7);
+    r.collect_tick = 100 + static_cast<Tick>(i / 7);  // tick-major after SampleBundle's row
     r.cpu_usage = milli(3);
     r.mem_usage = milli(5);
     r.disk_usage = milli(7);
