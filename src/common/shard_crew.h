@@ -1,7 +1,9 @@
 // Persistent lane crew, the system's one parallel mechanism (DESIGN.md §8,
-// §12): the §4.4 coordinator's shards, the simulator tick's passes and the
-// forest fit's trees all run on it. It keeps num_lanes - 1 threads alive
-// and runs lane 0 on the calling thread; nothing is allocated per round.
+// §12): the §4.4 coordinator's shards, the simulator tick's passes, the
+// online ERO refresh's host blocks (on the crew the simulator lends its
+// cluster) and the forest fit's trees all run on it. It keeps
+// num_lanes - 1 threads alive and runs lane 0 on the calling thread;
+// nothing is allocated per round.
 // There is one round type, and it is *open*:
 //
 //   * the caller opens an admission word (release) and advances an epoch;

@@ -28,6 +28,11 @@ inline constexpr PodId kInvalidPodId = -1;
 inline constexpr AppId kInvalidAppId = -1;
 inline constexpr HostId kInvalidHostId = -1;
 
+// Valid application ids lie in [0, kAppIdLimit). EroTable packs three ids
+// into one 60-bit triple key and indexes its slots by id, and
+// ReadTraceBundle rejects any app_id outside the range.
+inline constexpr AppId kAppIdLimit = AppId{1} << 20;
+
 // SLO classes observed in the trace (paper Fig. 2b). LSR binds CPU cores and
 // may preempt BE; LS is long-running latency-sensitive; BE is batch.
 enum class SloClass : uint8_t {

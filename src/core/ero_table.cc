@@ -9,6 +9,7 @@ namespace optum {
 
 size_t EroTable::EnsureSlot(AppId app) {
   OPTUM_CHECK_GE(app, 0);
+  OPTUM_CHECK_LT(app, kAppIdLimit);
   const size_t id = static_cast<size_t>(app);
   if (id >= slot_of_.size()) {
     slot_of_.resize(id + 1, -1);
@@ -47,15 +48,16 @@ void EroTable::Observe(AppId a, AppId b, double ratio) {
 }
 
 uint64_t EroTable::TripleKey(AppId a, AppId b, AppId c) {
-  // Sort the three ids, then pack into 20-bit fields (app ids are dense and
-  // far below 2^20 in any realistic deployment).
+  // Sort the three ids, then pack them into 20-bit fields, which hold every
+  // id in [0, kAppIdLimit) without aliasing.
+  static_assert(kAppIdLimit == AppId{1} << 20);
   if (a > b) std::swap(a, b);
   if (b > c) std::swap(b, c);
   if (a > b) std::swap(a, b);
-  constexpr uint64_t kMask = (1ULL << 20) - 1;
-  return ((static_cast<uint64_t>(static_cast<uint32_t>(a)) & kMask) << 40) |
-         ((static_cast<uint64_t>(static_cast<uint32_t>(b)) & kMask) << 20) |
-         (static_cast<uint64_t>(static_cast<uint32_t>(c)) & kMask);
+  OPTUM_CHECK_GE(a, 0);
+  OPTUM_CHECK_LT(c, kAppIdLimit);
+  return (static_cast<uint64_t>(a) << 40) | (static_cast<uint64_t>(b) << 20) |
+         static_cast<uint64_t>(c);
 }
 
 void EroTable::ObserveTriple(AppId a, AppId b, AppId c, double ratio) {
@@ -99,18 +101,20 @@ void ColocationGroup::Add(AppId app, double cpu, double cpu_request) {
   reps_.push_back(Rep{app, cpu, cpu_request});
 }
 
-void ColocationGroup::ObserveInto(EroTable* ero, size_t triple_cap) {
+template <typename Emit>
+void ColocationGroup::ForEachObservation(size_t triple_cap, Emit&& emit) {
   const size_t n = reps_.size();
   for (size_t a = 0; a < n; ++a) {
     const Rep& ra = reps_[a];
     if (ra.has_second && ra.cpu_request + ra.cpu2_request > 0) {
-      ero->Observe(ra.app, ra.app, (ra.cpu + ra.cpu2) / (ra.cpu_request + ra.cpu2_request));
+      emit(EroObservation{ra.app, ra.app, kInvalidAppId,
+                          (ra.cpu + ra.cpu2) / (ra.cpu_request + ra.cpu2_request)});
     }
     for (size_t b = a + 1; b < n; ++b) {
       const Rep& rb = reps_[b];
       const double denom = ra.cpu_request + rb.cpu_request;
       if (denom > 0) {
-        ero->Observe(ra.app, rb.app, (ra.cpu + rb.cpu) / denom);
+        emit(EroObservation{ra.app, rb.app, kInvalidAppId, (ra.cpu + rb.cpu) / denom});
       }
     }
   }
@@ -133,12 +137,25 @@ void ColocationGroup::ObserveInto(EroTable* ero, size_t triple_cap) {
       for (size_t z = y + 1; z < k; ++z) {
         const double denom = top_[x]->cpu_request + top_[y]->cpu_request + top_[z]->cpu_request;
         if (denom > 0) {
-          ero->ObserveTriple(top_[x]->app, top_[y]->app, top_[z]->app,
-                             (top_[x]->cpu + top_[y]->cpu + top_[z]->cpu) / denom);
+          emit(EroObservation{top_[x]->app, top_[y]->app, top_[z]->app,
+                              (top_[x]->cpu + top_[y]->cpu + top_[z]->cpu) / denom});
         }
       }
     }
   }
+}
+
+void ColocationGroup::ObserveInto(EroTable* ero, size_t triple_cap) {
+  ForEachObservation(triple_cap, [ero](const EroObservation& o) { ero->Apply(o); });
+}
+
+void ColocationGroup::CollectChanges(const EroTable& ero, size_t triple_cap,
+                                     std::vector<EroObservation>* out) {
+  ForEachObservation(triple_cap, [&](const EroObservation& o) {
+    if (ero.WouldChange(o)) {
+      out->push_back(o);
+    }
+  });
 }
 
 }  // namespace optum

@@ -15,6 +15,7 @@
 #ifndef OPTUM_SRC_CORE_ERO_TABLE_H_
 #define OPTUM_SRC_CORE_ERO_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -23,12 +24,45 @@
 
 namespace optum {
 
+// One observation a co-location sample makes: the pair (a, b) when c is
+// kInvalidAppId, else the triple (a, b, c); ratio as passed to Observe.
+struct EroObservation {
+  AppId a;
+  AppId b;
+  AppId c;
+  double ratio;
+};
+
 class EroTable {
  public:
   // Records one co-location observation; keeps the running maximum.
   // ratio must already be RO_{p,q}(t); values are clamped to [0, 1]. App
-  // ids must be non-negative.
+  // ids must lie in [0, kAppIdLimit).
   void Observe(AppId a, AppId b, double ratio);
+
+  // Observe or ObserveTriple, as o says.
+  void Apply(const EroObservation& o) {
+    if (o.c == kInvalidAppId) {
+      Observe(o.a, o.b, o.ratio);
+    } else {
+      ObserveTriple(o.a, o.b, o.c, o.ratio);
+    }
+  }
+
+  // False exactly when Apply(o) would return early on the table as it
+  // stands: the negation of Observe's `cell >= ratio` and of ObserveTriple's
+  // "present and not raised". Stored values only rise, so an observation
+  // this rejects stays a no-op whatever is applied before it (the one
+  // exception, a pair cell set to NaN, is in DESIGN.md §8 "ERO
+  // extraction"). Reads only; safe beside other readers.
+  bool WouldChange(const EroObservation& o) const {
+    const double ratio = std::clamp(o.ratio, 0.0, 1.0);
+    if (o.c == kInvalidAppId) {
+      return !(Stored(o.a, o.b) >= ratio);
+    }
+    const auto it = triple_table_.find(TripleKey(o.a, o.b, o.c));
+    return it == triple_table_.end() || ratio > it->second;
+  }
 
   // ERO(A, B); symmetric; 1.0 for never-observed pairs.
   double Get(AppId a, AppId b) const {
@@ -53,7 +87,8 @@ class EroTable {
   // combination of one pairwise ERO plus the leftover pod's full request
   // (the same bound the pairwise predictor would use).
 
-  // Records a joint observation of three co-located pods (order-free).
+  // Records a joint observation of three co-located pods (order-free). App
+  // ids must lie in [0, kAppIdLimit).
   void ObserveTriple(AppId a, AppId b, AppId c, double ratio);
 
   // ERO(A, B, C): the observed triple maximum, or a negative value when
@@ -127,7 +162,19 @@ class ColocationGroup {
   // triple). A ratio whose request sum is not positive is skipped.
   void ObserveInto(EroTable* ero, size_t triple_cap);
 
+  // Appends to *out, in ObserveInto's order, the observations that
+  // ero.WouldChange; ObserveInto would leave every other one a no-op.
+  // Reads `ero` only, so groups can collect concurrently against a table
+  // nobody writes meanwhile.
+  void CollectChanges(const EroTable& ero, size_t triple_cap,
+                      std::vector<EroObservation>* out);
+
  private:
+  // Calls emit(observation) for each observation ObserveInto makes, in its
+  // order; the one place Eq. 4-5 is evaluated.
+  template <typename Emit>
+  void ForEachObservation(size_t triple_cap, Emit&& emit);
+
   struct Rep {
     AppId app;
     double cpu;  // highest usage

@@ -1,8 +1,10 @@
 #include "src/core/optum_scheduler.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/check.h"
+#include "src/common/shard_crew.h"
 #include "src/obs/timer.h"
 #include "src/sched/common.h"
 
@@ -312,15 +314,42 @@ void OptumScheduler::ObserveColocation(const ClusterState& cluster, Tick now) {
     return;
   }
   last_observe_ = now;
-  // Each host is one co-location sample, observed in host order through the
-  // same ColocationGroup step as the offline profiler's (tick, host) groups.
+  // Each host is one co-location sample, reduced by the same ColocationGroup
+  // step as the offline profiler's (tick, host) groups. The table is only
+  // read until every block is collected; cells only rise, so what a block
+  // drops against it would also be a no-op at its serial turn.
+  constexpr size_t kHostsPerBlock = 16;
   const size_t triple_cap = config_.use_triple_ero ? SIZE_MAX : 0;
-  for (const Host& host : cluster.hosts()) {
-    colocation_.Reset();
-    for (const PodRuntime* pod : host.pods) {
-      colocation_.Add(pod->spec.app, pod->cpu_usage, pod->spec.request.cpu);
+  const EroTable& ero = profiles_->ero;
+  const std::span<const Host> hosts = cluster.hosts();
+  const size_t num_blocks = (hosts.size() + kHostsPerBlock - 1) / kHostsPerBlock;
+  if (observe_blocks_.size() < num_blocks) {
+    observe_blocks_.resize(num_blocks);
+  }
+  auto collect = [&](size_t b) {
+    ObserveBlock& block = observe_blocks_[b];
+    block.changes.clear();
+    const size_t end = std::min(hosts.size(), (b + 1) * kHostsPerBlock);
+    for (size_t h = b * kHostsPerBlock; h < end; ++h) {
+      block.group.Reset();
+      for (const PodRuntime* pod : hosts[h].pods) {
+        block.group.Add(pod->spec.app, pod->cpu_usage, pod->spec.request.cpu);
+      }
+      block.group.CollectChanges(ero, triple_cap, &block.changes);
     }
-    colocation_.ObserveInto(&profiles_->ero, triple_cap);
+  };
+  if (ShardCrew* crew = cluster.crew()) {
+    crew->ParallelFor(num_blocks, collect, /*chunk=*/1);
+  } else {
+    for (size_t b = 0; b < num_blocks; ++b) {
+      collect(b);
+    }
+  }
+  // Host order: blocks in order, each in the order its hosts produced them.
+  for (size_t b = 0; b < num_blocks; ++b) {
+    for (const EroObservation& o : observe_blocks_[b].changes) {
+      profiles_->ero.Apply(o);
+    }
   }
 }
 

@@ -83,11 +83,15 @@ class OptumScheduler : public PlacementPolicy {
                                 double* best_score);
 
   // Online resource-usage profiling: every observe_period ticks, feeds each
-  // host's pods, in host order, to the ColocationGroup step the offline
-  // profiler uses, raising the ERO table wherever an observed peak exceeds
-  // it (paper §4.2.2; triples over every application on the host when the
-  // scheduler runs in triple-wise mode). Call from the simulator's
-  // on_tick_end hook.
+  // host's pods to the ColocationGroup step the offline profiler uses,
+  // raising the ERO table wherever an observed peak exceeds it (paper
+  // §4.2.2; triples over every application on the host when the scheduler
+  // runs in triple-wise mode). Blocks of hosts run on the cluster's lent
+  // crew (inline without one), each keeping only the observations that can
+  // change the table as it stood when the refresh began; the caller then
+  // applies them in host order, so every value, version(), size() and
+  // triple_size() equal a serial host-order refresh (DESIGN.md §8 "ERO
+  // extraction"). Call from the simulator's on_tick_end hook.
   void ObserveColocation(const ClusterState& cluster, Tick now);
 
   // Full evaluation of one candidate host against one pod: the predicted
@@ -249,7 +253,13 @@ class OptumScheduler : public PlacementPolicy {
   InterferencePredictor interference_predictor_;
   Rng rng_;
   Tick last_observe_ = -1;
-  ColocationGroup colocation_;  // ObserveColocation's per-host scratch
+  // ObserveColocation's per-block scratch: a block of consecutive hosts is
+  // one crew index, and it reuses its group and observation list.
+  struct ObserveBlock {
+    ColocationGroup group;
+    std::vector<EroObservation> changes;
+  };
+  std::vector<ObserveBlock> observe_blocks_;
 
   // Per-scheduler scratch reused across PlaceScored calls (candidate
   // sampling working set, sampled candidates, their epochs and

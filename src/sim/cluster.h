@@ -14,6 +14,8 @@
 
 namespace optum {
 
+class ShardCrew;
+
 // Runtime state of one scheduled pod. Owned by ClusterState; schedulers see
 // const pointers only.
 struct PodRuntime {
@@ -177,7 +179,24 @@ class ClusterState {
   // preemption scans only these.
   std::span<const HostId> hosts_with_be() const { return hosts_with_be_; }
 
+  // The owner's crew, lent to readers of this cluster that split a pass
+  // over its hosts (OptumScheduler::ObserveColocation); nullptr when none
+  // was lent, and such readers then run the same pass inline. Contract: one
+  // caller at a time, and only between the owner's own crew rounds (the
+  // Simulator lends its crew, so SimConfig::on_tick_end may use it); a copy
+  // of the cluster does not carry it.
+  ShardCrew* crew() const { return crew_.crew; }
+  void lend_crew(ShardCrew* crew) { crew_.crew = crew; }
+
  private:
+  // Copies start with no crew; assignment keeps the target's own.
+  struct LentCrew {
+    ShardCrew* crew = nullptr;
+    LentCrew() = default;
+    LentCrew(const LentCrew&) {}
+    LentCrew& operator=(const LentCrew&) { return *this; }
+  };
+
   std::vector<Host> hosts_;
   // Deque keeps PodRuntime addresses stable across growth.
   std::deque<PodRuntime> pods_;
@@ -189,6 +208,7 @@ class ClusterState {
   size_t num_running_ = 0;
   size_t history_window_;
   Tick now_ = 0;
+  LentCrew crew_;
 };
 
 }  // namespace optum

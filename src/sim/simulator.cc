@@ -81,6 +81,7 @@ Simulator::Simulator(const Workload& workload, SimConfig config, PlacementPolicy
       crew_(config.num_lanes) {
   OPTUM_CHECK_MSG(config_.sinks.series == nullptr || config_.sinks.metrics != nullptr,
                   "SimConfig::series requires SimConfig::metrics");
+  cluster_.lend_crew(&crew_);
   wait_by_pod_.resize(workload.pods.size());
   tick_scratch_.resize(static_cast<size_t>(workload.config.num_hosts));
   if (config_.sinks.metrics != nullptr) {

@@ -58,7 +58,9 @@ struct SimConfig {
   uint64_t seed = 7;
 
   // Optional observer invoked at the end of every tick, after usage and
-  // performance updates. Benches use it to snapshot predictor inputs.
+  // performance updates. Benches use it to snapshot predictor inputs. It
+  // runs between the simulator's crew rounds, so it may use the crew the
+  // simulator lends to the cluster (ClusterState::crew()).
   std::function<void(const ClusterState&, Tick)> on_tick_end;
 
   // Observability sinks (obs::Sinks contract), all optional:

@@ -34,7 +34,7 @@ struct NodeUsageRecord {
 // -- Pod basic information ---------------------------------------------------
 struct PodMeta {
   PodId pod_id = kInvalidPodId;
-  AppId app_id = kInvalidAppId;
+  AppId app_id = kInvalidAppId;  // in [0, kAppIdLimit) once read
   SloClass slo = SloClass::kUnknown;
   Resources request;            // resources the pod asks to run
   Resources limit;              // maximum the pod may use
@@ -66,7 +66,7 @@ struct PodUsageRecord {
 // -- Pod lifecycle outcome ----------------------------------------------------
 struct PodLifecycleRecord {
   PodId pod_id = kInvalidPodId;
-  AppId app_id = kInvalidAppId;
+  AppId app_id = kInvalidAppId;  // in [0, kAppIdLimit) once read
   SloClass slo = SloClass::kUnknown;
   Tick submit_tick = 0;
   Tick schedule_tick = -1;   // -1 when never scheduled within the horizon

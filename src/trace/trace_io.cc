@@ -66,6 +66,16 @@ bool ParseInt(double v, Int* out) {
   return true;
 }
 
+// An app_id column: an integer in [0, kAppIdLimit).
+bool ParseAppId(double v, AppId* out) {
+  AppId app = 0;
+  if (!ParseInt(v, &app) || app < 0 || app >= kAppIdLimit) {
+    return false;
+  }
+  *out = app;
+  return true;
+}
+
 // An SloClass column: an integer in [0, kNumSloClasses).
 bool ParseSlo(double v, SloClass* out) {
   int slo = 0;
@@ -202,7 +212,7 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 9, [&](const std::vector<double>& v) {
           PodMeta p;
-          if (!ParseInt(v[0], &p.pod_id) || !ParseInt(v[1], &p.app_id) ||
+          if (!ParseInt(v[0], &p.pod_id) || !ParseAppId(v[1], &p.app_id) ||
               !ParseSlo(v[2], &p.slo) || !ParseInt(v[7], &p.submit_tick) ||
               !ParseInt(v[8], &p.original_machine_id)) {
             return false;
@@ -266,7 +276,7 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 11, [&](const std::vector<double>& v) {
           PodLifecycleRecord r;
-          if (!ParseInt(v[0], &r.pod_id) || !ParseInt(v[1], &r.app_id) ||
+          if (!ParseInt(v[0], &r.pod_id) || !ParseAppId(v[1], &r.app_id) ||
               !ParseSlo(v[2], &r.slo) || !ParseInt(v[3], &r.submit_tick) ||
               !ParseInt(v[4], &r.schedule_tick) || !ParseInt(v[5], &r.finish_tick) ||
               !ParseInt(v[6], &r.host)) {

@@ -6,7 +6,8 @@
 // require bit-identical decisions, Eq. 11 scores, metrics, decision logs,
 // span bytes and cluster state against a lone serial run; end to end, a
 // full simulation with Optum produces a bit-identical TraceBundle for every
-// SimConfig::num_lanes. Run them under the `tsan` preset
+// SimConfig::num_lanes, and the online ERO refresh on the simulator's crew
+// leaves the table a serial refresh would. Run them under the `tsan` preset
 // (tools/sanitize_runner.sh) to also prove the absence of data races, not
 // just of nondeterminism.
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/ero_table.h"
 #include "src/core/offline_profiler.h"
 #include "src/core/optum_scheduler.h"
 #include "src/obs/decision_log.h"
@@ -443,6 +445,120 @@ TEST(ThreadCountInvarianceTest, FullSimulationMatchesSerial) {
     SCOPED_TRACE(::testing::Message() << "SimConfig::num_lanes=" << lanes);
     testing_sim::ExpectIdenticalSimResults(
         serial, RunOptum(workload, sim_config, profiles, optum_config, lanes));
+  }
+}
+
+// --- Online ERO refresh on the lent crew ------------------------------------
+
+// An ERO table read over every application of a workload: each pair's
+// Contains/Get and each triple's GetTriple (a < b < c), plus the counters.
+struct EroSnapshot {
+  uint64_t version = 0;
+  size_t size = 0;
+  size_t triple_size = 0;
+  std::vector<double> pairs;    // Get, or -1 when not Contains
+  std::vector<double> triples;  // GetTriple
+  bool operator==(const EroSnapshot&) const = default;
+};
+
+EroSnapshot Snapshot(const EroTable& ero, size_t num_apps, bool triples) {
+  EroSnapshot snap{ero.version(), ero.size(), ero.triple_size(), {}, {}};
+  const AppId n = static_cast<AppId>(num_apps);
+  for (AppId a = 0; a < n; ++a) {
+    for (AppId b = a; b < n; ++b) {
+      snap.pairs.push_back(ero.Contains(a, b) ? ero.Get(a, b) : -1.0);
+      for (AppId c = b + 1; triples && c < n; ++c) {
+        snap.triples.push_back(ero.GetTriple(a, b, c));
+      }
+    }
+  }
+  return snap;
+}
+
+struct ObservedRun {
+  EroSnapshot ero;
+  uint64_t sim_digest = 0;
+};
+
+// Runs Optum with ObserveColocation from on_tick_end on `lanes` simulator
+// lanes. With `inline_refresh` the refresh reads a copy of the cluster,
+// which carries no crew, so the collect-then-apply pass runs on the
+// caller. At every refresh (ticks 0, observe_period, ...) a copy of the
+// table takes the same hosts serially, in host order, through
+// ColocationGroup::ObserveInto, the refresh the crew split replaced, and
+// must end equal to the scheduler's.
+ObservedRun RunObserving(const Workload& workload, const SimConfig& sim_config,
+                         OptumProfiles profiles, const OptumConfig& optum_config,
+                         size_t lanes, bool inline_refresh) {
+  OptumScheduler optum(std::move(profiles), optum_config);
+  const EroTable& ero = optum.profiles().ero;
+  const uint64_t initial_version = ero.version();
+  const size_t triple_cap = optum_config.use_triple_ero ? SIZE_MAX : 0;
+  ColocationGroup group;
+  EroTable serial;
+  SimConfig config = sim_config;
+  config.num_lanes = lanes;
+  config.on_tick_end = [&](const ClusterState& cluster, Tick now) {
+    EXPECT_NE(cluster.crew(), nullptr);
+    const bool refresh = now % optum_config.observe_period == 0;
+    if (refresh) {
+      serial = ero;
+      for (const Host& host : cluster.hosts()) {
+        group.Reset();
+        for (const PodRuntime* pod : host.pods) {
+          group.Add(pod->spec.app, pod->cpu_usage, pod->spec.request.cpu);
+        }
+        group.ObserveInto(&serial, triple_cap);
+      }
+    }
+    if (inline_refresh) {
+      const ClusterState copy = cluster;  // its hosts point at the same pods
+      EXPECT_EQ(copy.crew(), nullptr);
+      optum.ObserveColocation(copy, now);
+    } else {
+      optum.ObserveColocation(cluster, now);
+    }
+    if (refresh) {
+      ASSERT_EQ(ero.version(), serial.version()) << "tick " << now;
+      ASSERT_EQ(ero.size(), serial.size()) << "tick " << now;
+      ASSERT_EQ(ero.triple_size(), serial.triple_size()) << "tick " << now;
+    }
+  };
+  ObservedRun run;
+  run.sim_digest = testing_sim::SimResultDigest(Simulator(workload, config, optum).Run());
+  EXPECT_GT(ero.version(), initial_version);  // the refresh raised the table
+  run.ero = Snapshot(ero, workload.apps.size(), optum_config.use_triple_ero);
+  EXPECT_TRUE(run.ero == Snapshot(serial, workload.apps.size(), optum_config.use_triple_ero))
+      << "the last refresh differs from the serial one";
+  return run;
+}
+
+// ObserveColocation splits its hosts across the crew the simulator lends
+// its cluster; the table it leaves, and so every placement after it, must
+// equal the serial refresh's and must not depend on the lane count or on
+// whether a crew was lent at all.
+TEST(ThreadCountInvarianceTest, OnlineEroRefreshBitIdenticalForEveryLaneCount) {
+  const Workload workload = testing_sim::OvercommitWorkload();
+  const SimConfig sim_config = MakeSimConfig();
+  const OptumProfiles profiles = TrainProfiles(workload, sim_config);
+  for (const bool triples : {false, true}) {
+    SCOPED_TRACE(triples ? "triple-wise" : "pairwise");
+    OptumConfig optum_config;
+    optum_config.use_triple_ero = triples;
+    const ObservedRun inline_run =
+        RunObserving(workload, sim_config, profiles, optum_config, 1, /*inline_refresh=*/true);
+    EXPECT_EQ(inline_run.ero.triple_size > 0, triples);
+    for (const size_t lanes : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(::testing::Message() << "SimConfig::num_lanes=" << lanes);
+      const ObservedRun run =
+          RunObserving(workload, sim_config, profiles, optum_config, lanes, false);
+      EXPECT_EQ(run.ero.version, inline_run.ero.version);
+      EXPECT_EQ(run.ero.size, inline_run.ero.size);
+      EXPECT_EQ(run.ero.triple_size, inline_run.ero.triple_size);
+      EXPECT_TRUE(run.ero.pairs == inline_run.ero.pairs);
+      EXPECT_TRUE(run.ero.triples == inline_run.ero.triples);
+      EXPECT_EQ(run.sim_digest, inline_run.sim_digest);
+    }
   }
 }
 

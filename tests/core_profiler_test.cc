@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -271,6 +273,186 @@ TEST(ColocationGroupPropertyTest, MatchesBruteForceDefinition) {
   EXPECT_GT(zero_usages, 0u);
   EXPECT_GT(capped_hosts, 0u);
   EXPECT_GT(tied_hosts, 0u);
+}
+
+// App ids outside [0, kAppIdLimit) are a programmer error on in-memory
+// inputs (ReadTraceBundle rejects them in files): a negative id has no
+// slot, and 2^20 would pack into the same triple key as 0.
+TEST(EroTableTest, ChecksAppIdRange) {
+  EroTable ero;
+  ero.ObserveTriple(kAppIdLimit - 1, 1, 2, 0.5);
+  EXPECT_EQ(ero.GetTriple(0, 1, 2), -1.0);
+  EXPECT_DEATH(ero.Observe(-1, 0, 0.5), "app");
+  EXPECT_DEATH(ero.Observe(0, kAppIdLimit, 0.5), "kAppIdLimit");
+  EXPECT_DEATH(ero.ObserveTriple(kAppIdLimit, 1, 2, 0.5), "kAppIdLimit");
+  EXPECT_DEATH(ero.GetTriple(-1, 1, 2), "CHECK failed");
+}
+
+// WouldChange is the exact negation of Apply's early return: for every
+// stored state and observation, it holds exactly when Apply bumps
+// version(). Covers absent cells, equal and lower ratios, ratios outside
+// [0, 1] (clamped onto a stored 0 or 1), NaN ratios and NaN cells.
+TEST(EroTableTest, WouldChangeIsExactlyWhetherApplyBumps) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kRatios[] = {-0.5, 0.0, 0.3, 0.5, 1.0, 1.7, kNaN};
+  for (const bool triple : {false, true}) {
+    for (const bool present : {false, true}) {
+      for (const double stored : kRatios) {
+        for (const double ratio : kRatios) {
+          SCOPED_TRACE(::testing::Message() << "triple " << triple << " present " << present
+                                            << " stored " << stored << " ratio " << ratio);
+          EroTable ero;
+          ero.Observe(0, 1, 0.4);  // apps 1 and 2 share no cell yet
+          ero.Observe(0, 2, 0.4);
+          const AppId c = triple ? 3 : kInvalidAppId;
+          if (present) {
+            ero.Apply(EroObservation{1, 2, c, stored});
+          }
+          const EroObservation o{2, 1, c, ratio};
+          const bool would_change = ero.WouldChange(o);
+          const uint64_t before = ero.version();
+          ero.Apply(o);
+          EXPECT_EQ(would_change, ero.version() != before);
+        }
+      }
+    }
+  }
+}
+
+// The online refresh's crew split against the serial refresh it replaced.
+// Each round collects every host's CollectChanges against the table as it
+// stood when the round began, then applies them host by host in order; a
+// copy of the table takes the same hosts through ObserveInto. Rounds chain
+// on one table pre-populated with random pairs (and triples), in pairwise
+// and triple-wise mode, and after every round the two agree on every pair
+// and triple value, version(), size() and triple_size(). The hosts include
+// ratios above 1 (clamped), ratios equal to the stored value (hosts
+// repeated from the previous round or within the round), zero request sums
+// (applications that request no CPU) and applications seen for the first
+// time (new slots, with the pair matrix growing past 16, 32 and 64 slots).
+TEST(ColocationGroupPropertyTest, CrewSplitMatchesSerialObserveInto) {
+  constexpr AppId kApps = 72;
+  constexpr AppId kPrepopulated = 12;
+  constexpr size_t kHostsPerRound = 24;
+  struct Pod {
+    AppId app;
+    double cpu;
+  };
+  Rng rng(71);
+  std::vector<double> request(kApps);
+  for (double& r : request) {
+    r = rng.NextBelow(6) == 0 ? 0.0 : 0.05 * static_cast<double>(1 + rng.NextBelow(8));
+  }
+  const auto pick = [&rng](AppId n) { return static_cast<AppId>(rng.NextBelow(n)); };
+  const auto slots = [](const EroTable& ero) {
+    size_t n = 0;
+    for (AppId a = 0; a < kApps; ++a) {
+      bool has_slot = false;
+      for (AppId b = 0; b < kApps && !has_slot; ++b) {
+        has_slot = ero.Contains(a, b);
+      }
+      n += has_slot ? 1 : 0;
+    }
+    return n;
+  };
+  for (const size_t triple_cap : {size_t{0}, SIZE_MAX}) {
+    SCOPED_TRACE(triple_cap == 0 ? "pairwise" : "triple-wise");
+    EroTable split;
+    for (int i = 0; i < 40; ++i) {
+      const AppId a = pick(kPrepopulated);
+      const AppId b = pick(kPrepopulated);
+      const AppId c = pick(kPrepopulated);
+      split.Observe(a, b, rng.Uniform(0.0, 1.0));
+      if (triple_cap != 0 && a != b && b != c && a != c) {
+        split.ObserveTriple(a, b, c, rng.Uniform(0.0, 1.0));
+      }
+    }
+    EroTable serial = split;
+    ColocationGroup group;
+    const auto load = [&group, &request](const std::vector<Pod>& pods) {
+      group.Reset();
+      for (const Pod& pod : pods) {
+        group.Add(pod.app, pod.cpu, request[static_cast<size_t>(pod.app)]);
+      }
+    };
+    std::vector<std::vector<Pod>> hosts, previous;
+    std::vector<std::vector<EroObservation>> changes(kHostsPerRound);
+    std::vector<EroObservation> all;
+    size_t clamped = 0, equal_drops = 0, zero_sums = 0, first_seen = 0;
+    for (int round = 0; round < 30; ++round) {
+      const AppId apps = std::min<AppId>(kApps, kPrepopulated + 4 * round);
+      hosts.clear();
+      for (size_t h = 0; h < kHostsPerRound; ++h) {
+        const uint64_t kind = rng.NextBelow(8);
+        if (kind < 2 && !previous.empty()) {
+          hosts.push_back(previous[rng.NextBelow(previous.size())]);
+          continue;
+        }
+        if (kind == 2 && !hosts.empty()) {
+          hosts.push_back(hosts[rng.NextBelow(hosts.size())]);
+          continue;
+        }
+        std::vector<Pod> pods(1 + rng.NextBelow(10));
+        size_t zero_requests = 0;
+        for (Pod& pod : pods) {
+          pod.app = pick(apps);
+          const double req = request[static_cast<size_t>(pod.app)];
+          pod.cpu = rng.NextBelow(3) == 0 ? 0.05 * static_cast<double>(rng.NextBelow(4))
+                                          : rng.Uniform(0.0, req > 0 ? 1.6 * req : 0.1);
+          zero_requests += req == 0.0 ? 1 : 0;
+        }
+        zero_sums += zero_requests >= 2 ? 1 : 0;
+        hosts.push_back(std::move(pods));
+      }
+
+      const size_t slots_before = slots(split);
+      for (size_t h = 0; h < hosts.size(); ++h) {
+        load(hosts[h]);
+        // Every observation the host makes (an empty table keeps them all),
+        // to count the cases the filter meets.
+        all.clear();
+        group.CollectChanges(EroTable{}, triple_cap, &all);
+        for (const EroObservation& o : all) {
+          clamped += o.ratio > 1.0 ? 1 : 0;
+          const double stored =
+              o.c == kInvalidAppId ? split.Get(o.a, o.b) : split.GetTriple(o.a, o.b, o.c);
+          equal_drops += !split.WouldChange(o) && stored == std::clamp(o.ratio, 0.0, 1.0) ? 1 : 0;
+        }
+        changes[h].clear();
+        group.CollectChanges(split, triple_cap, &changes[h]);
+      }
+      for (const std::vector<EroObservation>& host_changes : changes) {
+        for (const EroObservation& o : host_changes) {
+          split.Apply(o);
+        }
+      }
+      first_seen += slots(split) - slots_before;
+      for (const std::vector<Pod>& pods : hosts) {
+        load(pods);
+        group.ObserveInto(&serial, triple_cap);
+      }
+
+      ASSERT_EQ(split.version(), serial.version()) << "round " << round;
+      ASSERT_EQ(split.size(), serial.size()) << "round " << round;
+      ASSERT_EQ(split.triple_size(), serial.triple_size()) << "round " << round;
+      for (AppId a = 0; a < kApps; ++a) {
+        for (AppId b = a; b < kApps; ++b) {
+          ASSERT_EQ(split.Contains(a, b), serial.Contains(a, b)) << a << ", " << b;
+          ASSERT_EQ(split.Get(a, b), serial.Get(a, b)) << a << ", " << b;
+          for (AppId c = b + 1; triple_cap != 0 && c < kApps; ++c) {
+            ASSERT_EQ(split.GetTriple(a, b, c), serial.GetTriple(a, b, c))
+                << a << ", " << b << ", " << c;
+          }
+        }
+      }
+      previous = hosts;
+    }
+    EXPECT_GT(clamped, 0u);
+    EXPECT_GT(equal_drops, 0u);
+    EXPECT_GT(zero_sums, 0u);
+    EXPECT_GT(first_seen, 64u - kPrepopulated);
+    EXPECT_EQ(serial.triple_size() > 0, triple_cap != 0);
+  }
 }
 
 // --- Offline profiler on a hand-crafted trace --------------------------------

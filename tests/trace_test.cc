@@ -467,6 +467,25 @@ TEST(TraceIoTest, RejectsPodUsageNegativeHost) {
   }
 }
 
+// An app_id must lie in [0, kAppIdLimit): a negative id used to reach
+// EroTable's slot index and abort the profiler on a CHECK, and 2^20 packed
+// into the same triple key as 0. SampleBundle's pod is of app 7.
+TEST(TraceIoTest, RejectsAppIdOutsideItsRange) {
+  const std::string widest = std::to_string(kAppIdLimit - 1);
+  EXPECT_TRUE(ReadsWithAppendedRow("app_control_pods", "pods.csv",
+                                   "43," + widest + ",1,0.25,0.125,0.5,0.25,100,3\n"));
+  EXPECT_TRUE(ReadsWithAppendedRow("app_control_lifecycles", "lifecycles.csv",
+                                   "43," + widest + ",1,100,102,-1,3,60,0,0,0.3\n"));
+  for (const std::string& app : {std::string("-1"), std::string("-2147483648"),
+                                std::to_string(kAppIdLimit), std::string("2147483647")}) {
+    SCOPED_TRACE(app);
+    EXPECT_FALSE(ReadsWithAppendedRow("app_pods", "pods.csv",
+                                      "43," + app + ",1,0.25,0.125,0.5,0.25,100,3\n"));
+    EXPECT_FALSE(ReadsWithAppendedRow("app_lifecycles", "lifecycles.csv",
+                                      "43," + app + ",1,100,102,-1,3,60,0,0,0.3\n"));
+  }
+}
+
 TEST(TraceIoTest, RejectsCharactersAfterLastField) {
   EXPECT_TRUE(ReadsWithAppendedRow("tail_control", "node_usage.csv",
                                    "3,101,0.5,0.25,0.1,0.2 \r\n"));

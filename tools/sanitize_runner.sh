@@ -2,14 +2,14 @@
 # Builds the sanitizer presets and runs the `concurrency`- and
 # `observability`-labeled ctest subsets under each — the shard crew's one
 # round type (affinity-first open rounds, run by the §4.4 coordinator's
-# shards, the simulator tick and the forest fit), the 4-shard coordinators
-# (core_distributed_test) and the 4-shard serve run beside busy threads
-# (serve_pipeline_test), where lanes steal each other's shards; simulator
-# lane invariance and the simulator fixtures that run its tick on the crew
-# (sim_test), concurrent-scheduler invariance, interference-table fill, the
-# chunked pod-usage row store's parallel fill, host-baseline stress, and
-# metrics-registry tests that guard the coordinator's shard lanes and the
-# lane-sharded metric shards.
+# shards, the simulator tick, the online ERO refresh and the forest fit),
+# the 4-shard coordinators (core_distributed_test) and the 4-shard serve
+# run beside busy threads (serve_pipeline_test), where lanes steal each
+# other's shards; simulator lane invariance and the simulator fixtures
+# that run its tick on the crew (sim_test), concurrent-scheduler
+# invariance, interference-table fill, the chunked pod-usage row store's
+# parallel fill, host-baseline stress, and metrics-registry tests that
+# guard the coordinator's shard lanes and the lane-sharded metric shards.
 #
 #   tools/sanitize_runner.sh [tsan|asan-ubsan|all]   (default: all)
 #
