@@ -2,10 +2,8 @@
 // that dominate trace-run wall clock so future PRs can see the trajectory.
 //
 //   1. Scheduler scoring: pods placed per second through
-//      OptumScheduler::PlaceScored on a prefilled cluster, with the
-//      incremental host-baseline cache ON vs OFF. The OFF configuration is
-//      the pre-change behaviour (full Eq. 8 rescan per candidate), so the
-//      ratio is the speedup delivered by the cache.
+//      OptumScheduler::PlaceScored on a prefilled cluster (one scoring path:
+//      the epoch-keyed host baselines and Host::app_counts).
 //   2. Simulator tick: ticks per second of a full reference-scheduler run,
 //      one lane (serial) vs hardware_concurrency lanes for the per-tick host
 //      and pod passes (bit-identical results; each tick row records the
@@ -56,9 +54,7 @@ struct ScoringRow {
   int hosts = 0;
   int pods = 0;
   size_t candidates_per_pod = 0;
-  double pods_per_sec_baseline = 0.0;  // cache OFF (pre-change rescan path)
-  double pods_per_sec_cached = 0.0;    // cache ON
-  double speedup = 0.0;
+  double pods_per_sec_cached = 0.0;
 };
 
 // Steady-state scheduling loop: prefilled cluster, every placement is
@@ -66,7 +62,7 @@ struct ScoringRow {
 // epochs keep churning (the cache must keep revalidating, as in a real run).
 double MeasureScoring(const core::OptumProfiles& profiles,
                       const std::vector<const AppProfile*>& catalog, int num_hosts,
-                      int prefill_per_host, int warmup, int stream, bool cached,
+                      int prefill_per_host, int warmup, int stream,
                       obs::MetricRegistry* registry = nullptr,
                       obs::DecisionLog* decision_log = nullptr,
                       obs::SpanLog* span_log = nullptr,
@@ -86,9 +82,7 @@ double MeasureScoring(const core::OptumProfiles& profiles,
     }
   }
 
-  core::OptumConfig config;
-  config.use_incremental_cache = cached;
-  core::OptumScheduler scheduler(profiles, config);
+  core::OptumScheduler scheduler(profiles, core::OptumConfig{});
   obs::Sinks sinks;
   sinks.metrics = registry;
   sinks.decision_log = decision_log;
@@ -151,11 +145,9 @@ double MeasureScoring(const core::OptumProfiles& profiles,
           in.mem_util = host.capacity.mem > 0.0
                             ? predicted.mem / host.capacity.mem
                             : 0.0;
-          int32_t counts[kNumSloClasses];
-          CountPodsBySlo(host, counts);
-          in.pods_be = counts[static_cast<size_t>(SloClass::kBe)];
-          in.pods_ls = counts[static_cast<size_t>(SloClass::kLs)];
-          in.pods_lsr = counts[static_cast<size_t>(SloClass::kLsr)];
+          in.pods_be = host.slo_pods[static_cast<size_t>(SloClass::kBe)];
+          in.pods_ls = host.slo_pods[static_cast<size_t>(SloClass::kLs)];
+          in.pods_lsr = host.slo_pods[static_cast<size_t>(SloClass::kLsr)];
           const int32_t ls_pods = in.pods_ls + in.pods_lsr;
           if (ls_pods > 0) {
             in.interference = scheduler.interference_predictor()
@@ -202,8 +194,8 @@ ScoringRow RunScoringBench(const core::OptumProfiles& profiles,
                            int stream) {
   constexpr int kPrefillPerHost = 16;
   // Warm for a full stream length so the measurement reflects steady state:
-  // the prediction/slope caches of both configurations start cold, and a
-  // long trace run spends almost all its time warm.
+  // the host baselines start cold, and a long trace run spends almost all
+  // its time warm.
   const int warmup = stream;
   ScoringRow row;
   row.hosts = num_hosts;
@@ -212,13 +204,8 @@ ScoringRow RunScoringBench(const core::OptumProfiles& profiles,
   row.candidates_per_pod =
       std::max(defaults.min_candidates,
                static_cast<size_t>(defaults.sample_fraction * num_hosts));
-  row.pods_per_sec_baseline = MeasureScoring(profiles, catalog, num_hosts,
-                                             kPrefillPerHost, warmup, stream,
-                                             /*cached=*/false);
-  row.pods_per_sec_cached = MeasureScoring(profiles, catalog, num_hosts,
-                                           kPrefillPerHost, warmup, stream,
-                                           /*cached=*/true);
-  row.speedup = row.pods_per_sec_cached / row.pods_per_sec_baseline;
+  row.pods_per_sec_cached =
+      MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream);
   return row;
 }
 
@@ -269,8 +256,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
   // One discarded measurement first: the section's first run pays the
   // allocator/page-cache warm-up for everyone after it and otherwise skews
   // whichever configuration goes first by several percent.
-  (void)MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                       /*cached=*/true);
+  (void)MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream);
   // Interleave the configurations across three passes and keep the best of
   // each: a sustained slowdown of the box (noisy neighbors on a shared
   // container) then biases every configuration equally instead of whichever
@@ -279,15 +265,13 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
   for (int pass = 0; pass < 3; ++pass) {
     row.pods_per_sec_metrics_off = std::max(
         row.pods_per_sec_metrics_off,
-        MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                       /*cached=*/true));
+        MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream));
     {
       obs::MetricRegistry registry;
       row.pods_per_sec_metrics_on = std::max(
           row.pods_per_sec_metrics_on,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, &registry,
-                         /*decision_log=*/nullptr, /*span_log=*/nullptr,
+                         &registry, /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, /*pressure=*/nullptr,
                          /*profiler=*/nullptr, &row.cache_stats));
     }
@@ -297,7 +281,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_decision_log = std::max(
           row.pods_per_sec_decision_log,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, &registry, &log));
+                         &registry, &log));
     }
     {
       // Span log + streaming series on top of the registry: the lifecycle
@@ -312,8 +296,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_spans = std::max(
           row.pods_per_sec_spans,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, &registry,
-                         /*decision_log=*/nullptr, &span_log, &series));
+                         &registry, /*decision_log=*/nullptr, &span_log, &series));
       span_log.Flush();
       series.Flush();
       row.span_records = span_log.records_written();
@@ -336,8 +319,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_pressure = std::max(
           row.pods_per_sec_pressure,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, &registry,
-                         /*decision_log=*/nullptr, /*span_log=*/nullptr,
+                         &registry, /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, &monitor));
       monitor.Finalize();
       row.hotspot_events = monitor.detector().events_emitted();
@@ -358,8 +340,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_profile = std::max(
           row.pods_per_sec_profile,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, &registry,
-                         /*decision_log=*/nullptr, /*span_log=*/nullptr,
+                         &registry, /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, /*pressure=*/nullptr, &profiler));
       profiler.Finalize();
       row.profile_windows = profiler.windows_flushed();
@@ -613,10 +594,8 @@ bool WriteJson(const std::string& path, const std::vector<ScoringRow>& scoring,
     const ScoringRow& r = scoring[i];
     std::fprintf(f,
                  "    {\"hosts\": %d, \"pods\": %d, \"candidates_per_pod\": %zu, "
-                 "\"pods_per_sec_baseline\": %.1f, \"pods_per_sec_cached\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.hosts, r.pods, r.candidates_per_pod, r.pods_per_sec_baseline,
-                 r.pods_per_sec_cached, r.speedup,
+                 "\"pods_per_sec_cached\": %.1f}%s\n",
+                 r.hosts, r.pods, r.candidates_per_pod, r.pods_per_sec_cached,
                  i + 1 < scoring.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"tick\": [\n");
@@ -801,7 +780,7 @@ int Main(int argc, char** argv) {
   std::vector<ScoringRow> scoring;
   if (run_scoring) {
     for (const auto& [hosts, stream] : {std::pair<int, int>{1000, 4000}, {6000, 1200}}) {
-      std::printf("scoring %d hosts (%d pods, cache off then on)...\n", hosts, stream);
+      std::printf("scoring %d hosts (%d pods)...\n", hosts, stream);
       scoring.push_back(RunScoringBench(profiles, catalog, hosts, stream));
     }
   }
@@ -836,9 +815,8 @@ int Main(int argc, char** argv) {
 
   TablePrinter table({"section", "hosts", "base/s", "opt/s", "speedup"});
   for (const ScoringRow& r : scoring) {
-    table.AddRow({"scoring", std::to_string(r.hosts),
-                  FormatDouble(r.pods_per_sec_baseline, 1),
-                  FormatDouble(r.pods_per_sec_cached, 1), FormatDouble(r.speedup, 2)});
+    table.AddRow({"scoring", std::to_string(r.hosts), "-",
+                  FormatDouble(r.pods_per_sec_cached, 1), "-"});
   }
   for (const TickRow& r : ticks) {
     table.AddRow({"tick", std::to_string(r.hosts),

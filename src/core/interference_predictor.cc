@@ -12,34 +12,6 @@ namespace optum::core {
 
 namespace {
 
-// Per-host application histogram rebuilt from the pod list — the
-// pre-incremental path, retained verbatim so benchmarks can measure the
-// baseline cost and equivalence tests can compare against Host::app_counts.
-struct RebuiltAppCount {
-  AppId app;
-  SloClass slo;
-  int count;
-};
-
-std::vector<RebuiltAppCount> RebuildCounts(const Host& host) {
-  std::vector<RebuiltAppCount> counts;
-  counts.reserve(host.pods.size() + 1);
-  for (const PodRuntime* pod : host.pods) {
-    bool merged = false;
-    for (auto& c : counts) {
-      if (c.app == pod->spec.app) {
-        ++c.count;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      counts.push_back(RebuiltAppCount{pod->spec.app, pod->spec.slo, 1});
-    }
-  }
-  return counts;
-}
-
 double WeightOf(SloClass slo, double weight_ls, double weight_be) {
   return IsLatencySensitive(slo) ? weight_ls : slo == SloClass::kBe ? weight_be : 0.0;
 }
@@ -88,9 +60,8 @@ void InterferencePredictor::FillTables(OptumProfiles* profiles, ShardCrew& crew)
   }
 }
 
-InterferencePredictor::InterferencePredictor(const OptumProfiles* profiles,
-                                             bool use_host_app_counts)
-    : profiles_(profiles), use_host_app_counts_(use_host_app_counts) {
+InterferencePredictor::InterferencePredictor(const OptumProfiles* profiles)
+    : profiles_(profiles) {
   OPTUM_CHECK(profiles != nullptr);
   Reload();
 }
@@ -189,31 +160,6 @@ double InterferencePredictor::TotalInterference(const Host& host, const PodSpec&
                                                 double host_cpu_util, double host_mem_util,
                                                 double weight_ls,
                                                 double weight_be) const {
-  if (!use_host_app_counts_) {
-    // Baseline path: rebuild the histogram from the pod list per call.
-    std::vector<RebuiltAppCount> counts = RebuildCounts(host);
-    bool merged = false;
-    for (auto& c : counts) {
-      if (c.app == incoming.app) {
-        ++c.count;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      counts.push_back(RebuiltAppCount{incoming.app, incoming.slo, 1});
-    }
-    double total = 0.0;
-    for (const auto& c : counts) {
-      const double ri = Predict(c.app, host_cpu_util, host_mem_util);
-      if (ri == 0.0) {
-        continue;
-      }
-      total += WeightOf(c.slo, weight_ls, weight_be) * ri * static_cast<double>(c.count);
-    }
-    return total;
-  }
-
   // One prediction per application; the per-host per-app counts are
   // maintained incrementally by ClusterState, so no per-candidate rebuild.
   double total = 0.0;
@@ -255,21 +201,6 @@ double InterferencePredictor::ResidentInterference(const Host& host,
   // The table cell Predict reads at the coarse cell's center.
   const uint64_t cpu_cell = UtilBucket(BucketPoint(cpu_bucket, kResidentBuckets), kBuckets);
   const uint64_t mem_cell = UtilBucket(BucketPoint(mem_bucket, kResidentBuckets), kBuckets);
-  const auto resident_sum = [&](const auto& counts) {
-    double total = 0.0;
-    for (const auto& c : counts) {
-      const InterferenceTable* table = TableOf(c.app);
-      const double ri = table != nullptr ? PredictCell(*table, cpu_cell, mem_cell) : 0.0;
-      if (ri == 0.0) {
-        continue;
-      }
-      total += WeightOf(c.slo, weight_ls, weight_be) * ri * static_cast<double>(c.count);
-    }
-    return total;
-  };
-  if (!use_host_app_counts_) {
-    return resident_sum(RebuildCounts(host));
-  }
   // Pressure sweeps revisit every host each sampled tick, but only the
   // handful that placed or evicted pods since the last sweep can produce a
   // different sum: (change_epoch, coarse buckets, weights) fully determines
@@ -286,7 +217,15 @@ double InterferencePredictor::ResidentInterference(const Host& host,
       return memo->value;
     }
   }
-  const double total = resident_sum(host.app_counts);
+  double total = 0.0;
+  for (const HostAppCount& c : host.app_counts) {
+    const InterferenceTable* table = TableOf(c.app);
+    const double ri = table != nullptr ? PredictCell(*table, cpu_cell, mem_cell) : 0.0;
+    if (ri == 0.0) {
+      continue;
+    }
+    total += WeightOf(c.slo, weight_ls, weight_be) * ri * static_cast<double>(c.count);
+  }
   if (memo != nullptr) {
     *memo = ResidentMemo{host.change_epoch, cpu_bucket, mem_bucket,
                          weight_ls,         weight_be,  total};
@@ -324,20 +263,13 @@ double InterferencePredictor::MarginalInterference(
   };
 
   double total = 0.0;
-  if (!use_host_app_counts_) {
-    // Baseline path: rebuild the histogram from the pod list per call.
-    for (const auto& c : RebuildCounts(host)) {
-      total += slope_term(c.app, c.slo, c.count);
+  for (const HostAppCount& c : host.app_counts) {
+    // Skipping profile-less apps adds exactly 0.0 to the sum, so this fast
+    // path cannot change the result.
+    if (TableOf(c.app) == nullptr) {
+      continue;
     }
-  } else {
-    for (const HostAppCount& c : host.app_counts) {
-      // Skipping profile-less apps adds exactly 0.0 to the sum, so this
-      // fast path cannot change the result.
-      if (TableOf(c.app) == nullptr) {
-        continue;
-      }
-      total += slope_term(c.app, c.slo, c.count);
-    }
+    total += slope_term(c.app, c.slo, c.count);
   }
   // The incoming pod's own interference is its absolute prediction (§4.3.3).
   total += WeightOf(incoming.slo, weight_ls, weight_be) *

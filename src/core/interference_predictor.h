@@ -5,7 +5,11 @@
 // pod's application and the host's predicted utilization bucket, so every
 // value the scheduler reads is precomputed into the application's
 // InterferenceTable when the profiles are built: a prediction or a slope is
-// one indexed load, bit-identical to evaluating the model on demand.
+// one indexed load, bit-identical to evaluating the model on demand. The
+// per-host application histogram is Host::app_counts, maintained
+// incrementally by ClusterState and sorted by AppId, so every sum iterates
+// in one canonical order; ClusterState::CheckInvariants() checks it against
+// the host's pod list.
 #ifndef OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 #define OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 
@@ -27,14 +31,7 @@ class InterferencePredictor {
   // `profiles` must outlive the predictor. Usable models without a table
   // (profiles assembled by hand rather than by OfflineProfiler) get one
   // filled here, owned by this predictor.
-  //
-  // use_host_app_counts selects how the per-host application histogram is
-  // obtained: true reads Host::app_counts (maintained incrementally by
-  // ClusterState); false rebuilds it from Host::pods on every call — the
-  // pre-incremental behaviour, kept as the benchmark baseline and for
-  // equivalence testing against the incremental structures.
-  explicit InterferencePredictor(const OptumProfiles* profiles,
-                                 bool use_host_app_counts = true);
+  explicit InterferencePredictor(const OptumProfiles* profiles);
   // tables_ may point into own_tables_.
   InterferencePredictor(const InterferencePredictor&) = delete;
   InterferencePredictor& operator=(const InterferencePredictor&) = delete;
@@ -147,7 +144,6 @@ class InterferencePredictor {
   static constexpr size_t kResidentBuckets = 8;
 
   const OptumProfiles* profiles_;
-  bool use_host_app_counts_;
   // Indexed by AppId; points into the profiles' tables or own_tables_.
   std::vector<const InterferenceTable*> tables_;
   // Tables this predictor filled for usable models that came without one.

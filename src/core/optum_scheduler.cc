@@ -17,11 +17,8 @@ OptumScheduler::OptumScheduler(OptumProfiles profiles, OptumConfig config)
                        config.use_triple_ero
                            ? ResourceUsagePredictor::Grouping::kTripleWise
                            : ResourceUsagePredictor::Grouping::kPairwise),
-      interference_predictor_(profiles_.get(),
-                              /*use_host_app_counts=*/config.use_incremental_cache),
-      rng_(config.seed) {
-  usage_predictor_.set_cache_enabled(config_.use_incremental_cache);
-}
+      interference_predictor_(profiles_.get()),
+      rng_(config.seed) {}
 
 OptumScheduler::~OptumScheduler() = default;
 

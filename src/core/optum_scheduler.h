@@ -49,14 +49,6 @@ struct OptumConfig {
   double sample_fraction = 0.05;
   size_t min_candidates = 32;
 
-  // Incremental hot-path structures: the per-host baseline cache for usage
-  // prediction (bit-identical to the uncached rescan; see
-  // ResourceUsagePredictor) and the incrementally maintained Host::app_counts
-  // histogram for interference prediction. Disable only for equivalence
-  // testing and benchmark baselines (false = rescan/rebuild per candidate,
-  // the pre-incremental behaviour).
-  bool use_incremental_cache = true;
-
   // Per-host memory utilization cap (paper §5.1: 0.8).
   double mem_util_limit = 0.8;
 

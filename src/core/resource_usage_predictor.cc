@@ -40,57 +40,14 @@ double ResourceUsagePredictor::TripleCpuEstimate(AppId a, double ra, AppId b, do
   return std::min({ab, bc, ac, sum});
 }
 
-double ResourceUsagePredictor::MemEstimateRescan(AppId app,
-                                                 const Resources& request) const {
-  const AppModel* model = profiles_->Find(app);
-  const double profile = model != nullptr ? model->stats.mem_profile : 1.0;
-  return profile * request.mem;
-}
-
-Resources ResourceUsagePredictor::PredictHostRescan(const Host& host,
-                                                    const PodSpec* incoming) const {
-  // Assemble (app, request) in scheduling order, incoming pod last.
-  // Pairing follows Eq. 8 exactly.
-  double poc = 0.0;
-  double pom = 0.0;
-
-  const size_t n = host.pods.size() + (incoming != nullptr ? 1 : 0);
-  auto app_of = [&](size_t i) -> AppId {
-    return i < host.pods.size() ? host.pods[i]->spec.app : incoming->app;
-  };
-  auto request_of = [&](size_t i) -> const Resources& {
-    return i < host.pods.size() ? host.pods[i]->spec.request : incoming->request;
-  };
-
-  size_t i = 0;
-  if (grouping_ == Grouping::kTripleWise) {
-    for (; i + 2 < n; i += 3) {
-      poc += TripleCpuEstimate(app_of(i), request_of(i).cpu, app_of(i + 1),
-                               request_of(i + 1).cpu, app_of(i + 2),
-                               request_of(i + 2).cpu);
-    }
-  }
-  for (; i + 1 < n; i += 2) {
-    const double ero = profiles_->ero.Get(app_of(i), app_of(i + 1));
-    poc += ero * (request_of(i).cpu + request_of(i + 1).cpu);
-  }
-  if (i < n) {
-    poc += request_of(i).cpu;  // Odd pod out: full CPU request.
-  }
-  for (size_t k = 0; k < n; ++k) {
-    pom += MemEstimateRescan(app_of(k), request_of(k));
-  }
-  return Resources{poc, pom};
-}
-
 void ResourceUsagePredictor::RecomputeBaseline(const Host& host,
                                                HostBaseline* slot) const {
   const size_t n = host.pods.size();
   auto app_of = [&](size_t i) -> AppId { return host.pods[i]->spec.app; };
   auto cpu_of = [&](size_t i) -> double { return host.pods[i]->spec.request.cpu; };
 
-  // Full groups, accumulated in the same left-to-right order as the rescan
-  // so cached predictions are bit-identical to uncached ones. In pairwise
+  // Full groups, accumulated in Eq. 8's left-to-right order; the final
+  // group is added last, so a prediction sums in that order too. In pairwise
   // mode every pair is a full group; in triple-wise mode only triples are
   // (a trailing pair would be regrouped into a triple by an incoming pod).
   double poc = 0.0;
@@ -134,8 +91,11 @@ void ResourceUsagePredictor::RecomputeBaseline(const Host& host,
 
 Resources ResourceUsagePredictor::PredictHost(const Host& host,
                                               const PodSpec* incoming) const {
-  if (!cache_enabled_ || host.id < 0) {
-    return PredictHostRescan(host, incoming);
+  if (host.id < 0) {
+    // A host outside any cluster has no cache slot.
+    HostBaseline scratch;
+    RecomputeBaseline(host, &scratch);
+    return PredictFrom(scratch, incoming);
   }
   const size_t idx = static_cast<size_t>(host.id);
   if (idx >= cache_.size()) {
@@ -150,6 +110,11 @@ Resources ResourceUsagePredictor::PredictHost(const Host& host,
     slot.ero_version = ero_version;
     slot.generation = generation_;
   }
+  return PredictFrom(slot, incoming);
+}
+
+Resources ResourceUsagePredictor::PredictFrom(const HostBaseline& slot,
+                                              const PodSpec* incoming) const {
   if (incoming == nullptr) {
     return Resources{slot.poc_groups + slot.tail_poc, slot.pom};
   }

@@ -7,14 +7,16 @@
 // Memory: the sum over pods of mem_profile(A_i) * Mr_i (conservative).
 //
 // Scoring a candidate host evaluates PredictHost(host, &pod) for every
-// sampled candidate, so the predictor keeps a per-host baseline cache: the
+// sampled candidate, so the predictor keeps a per-host baseline: the
 // full-group CPU sum, the trailing incomplete group (the only part an
-// appended pod can change), and the memory sum. A cached prediction is the
-// baseline plus an O(1) final-group delta and is bit-identical to a full
-// rescan. Entries are validated against Host::change_epoch (pod placement /
-// removal) and EroTable::version() (online ERO observations). Memory
+// appended pod can change), and the memory sum. A prediction is the baseline
+// plus an O(1) final-group delta, summed in Eq. 8's left-to-right order.
+// Entries are validated against Host::change_epoch (pod placement / removal)
+// and EroTable::version() (online ERO observations); a host outside any
+// cluster (id < 0) gets a stack baseline through the same code. Memory
 // profiles are read from a flat per-AppId copy of AppStats::mem_profile;
 // profile swaps must call InvalidateAll(), which also rebuilds that copy.
+// tests/scoring_oracle.h holds the from-scratch Eq. 8 reference.
 #ifndef OPTUM_SRC_CORE_RESOURCE_USAGE_PREDICTOR_H_
 #define OPTUM_SRC_CORE_RESOURCE_USAGE_PREDICTOR_H_
 
@@ -40,16 +42,12 @@ class ResourceUsagePredictor {
 
   // Predicted (CPU, mem) usage of `host` if `incoming` (optional) were
   // appended to its pod list. Pass nullptr to predict the host as-is.
-  // Amortized O(1) per call when the cache is enabled (default); callers
-  // that score candidates in parallel must ReserveHosts() first so no slot
-  // allocation happens inside worker threads. Concurrent calls on
-  // *distinct* hosts are safe; the same host must not be predicted from two
-  // threads at once unless its cache entry is already warm.
+  // Amortized O(1) per call; callers that score candidates in parallel must
+  // ReserveHosts() first so no slot allocation happens inside worker
+  // threads. Concurrent calls on *distinct* hosts are safe; the same host
+  // must not be predicted from two threads at once unless its cache entry is
+  // already warm.
   Resources PredictHost(const Host& host, const PodSpec* incoming) const;
-
-  // The uncached reference path: rebuilds the full Eq. 8 pairing. Exposed
-  // so equivalence tests (and the hotpath bench baseline) can compare.
-  Resources PredictHostRescan(const Host& host, const PodSpec* incoming) const;
 
   // Pre-sizes the per-host cache so PredictHost never reallocates; call
   // before scoring candidates from multiple threads.
@@ -60,17 +58,13 @@ class ResourceUsagePredictor {
   void InvalidateAll();
 
   // Prefetches the cached baseline of host `id` (a hint for scoring loops
-  // that know their next candidates); no effect when the cache is off or
-  // not yet sized for `id`.
+  // that know their next candidates); no effect when the cache is not yet
+  // sized for `id`.
   void PrefetchBaseline(HostId id) const {
-    if (cache_enabled_ && id >= 0 && static_cast<size_t>(id) < cache_.size()) {
+    if (id >= 0 && static_cast<size_t>(id) < cache_.size()) {
       __builtin_prefetch(&cache_[static_cast<size_t>(id)]);
     }
   }
-
-  // Disables/enables the baseline cache; disabled mode always rescans.
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  bool cache_enabled() const { return cache_enabled_; }
 
   Grouping grouping() const { return grouping_; }
 
@@ -101,9 +95,6 @@ class ResourceUsagePredictor {
             : 1.0;
     return profile * request.mem;
   }
-  // The rescan's memory term, read through profiles_->Find so a stale
-  // mem_profile_ shows up as a cached-vs-rescan mismatch.
-  double MemEstimateRescan(AppId app, const Resources& request) const;
   // Rebuilds mem_profile_ from profiles_->apps.
   void LoadMemProfiles();
   // Tightest estimate for three pods: the observed triple ERO when
@@ -112,10 +103,12 @@ class ResourceUsagePredictor {
                            double rc) const;
 
   void RecomputeBaseline(const Host& host, HostBaseline* slot) const;
+  // The prediction from an up-to-date baseline: as-is, or with `incoming`
+  // appended as the last pod.
+  Resources PredictFrom(const HostBaseline& slot, const PodSpec* incoming) const;
 
   const OptumProfiles* profiles_;
   Grouping grouping_;
-  bool cache_enabled_ = true;
   uint64_t generation_ = 0;
   // AppStats::mem_profile indexed by AppId; 1.0 for ids without a model.
   std::vector<double> mem_profile_;

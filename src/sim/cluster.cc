@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "src/common/check.h"
 
@@ -68,12 +69,6 @@ void Host::HistoryStats(double* mean, double* stddev) const {
   const double var = std::max(0.0, history_sum_sq / n - m * m);
   *mean = m;
   *stddev = std::sqrt(var);
-}
-
-void CountPodsBySlo(const Host& host, int32_t out[kNumSloClasses]) {
-  for (int c = 0; c < kNumSloClasses; ++c) {
-    out[c] = host.slo_pods[c];
-  }
 }
 
 bool AffinityAllows(const PodSpec& pod, const Host& host) {
@@ -195,6 +190,122 @@ void ClusterState::Remove(PodRuntime* pod) {
   pod->host = kInvalidHostId;
   --num_running_;
   free_list_.push_back(pod);
+}
+
+namespace {
+
+std::string Str(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+std::string Str(const Resources& r) { return "{" + Str(r.cpu) + ", " + Str(r.mem) + "}"; }
+std::string Str(const HostAppCount& c) {
+  return "{app " + std::to_string(c.app) + ", slo " + std::to_string(static_cast<int>(c.slo)) +
+         ", count " + std::to_string(c.count) + "}";
+}
+
+}  // namespace
+
+std::string ClusterState::CheckInvariants() const {
+  const auto bad = [](const std::string& field, HostId id, const std::string& stored,
+                      const std::string& expected) {
+    return field + " of host " + std::to_string(id) + ": " + stored + ", expected " + expected;
+  };
+  const auto near = [](const Resources& a, const Resources& b) {
+    return std::abs(a.cpu - b.cpu) <= 1e-9 && std::abs(a.mem - b.mem) <= 1e-9;
+  };
+  size_t running = 0;
+  size_t indexed = 0;
+  std::vector<HostAppCount> counts;
+  for (const Host& h : hosts_) {
+    const HostId id = h.id;
+    const int32_t pos = be_index_pos_[static_cast<size_t>(id)];
+    const bool in_index = pos >= 0 && static_cast<size_t>(pos) < hosts_with_be_.size() &&
+                          hosts_with_be_[static_cast<size_t>(pos)] == id;
+    if (in_index != (h.be_pod_count > 0) || (!in_index && pos != -1)) {
+      return bad("hosts_with_be_", id, "be_index_pos_ " + std::to_string(pos),
+                 "an entry iff be_pod_count " + std::to_string(h.be_pod_count) + " > 0");
+    }
+    indexed += in_index ? 1 : 0;
+
+    counts.clear();
+    int32_t slo_pods[kNumSloClasses] = {};
+    int be_pods = 0;
+    double be_cpu = 0.0;
+    Resources request;
+    Resources limit;
+    for (const PodRuntime* pod : h.pods) {
+      const PodSpec& spec = pod->spec;
+      if (pod->host != id) {
+        return bad("PodRuntime::host", id, "pod " + std::to_string(spec.id) + " records " +
+                   std::to_string(pod->host), std::to_string(id));
+      }
+      const auto it = std::find_if(counts.begin(), counts.end(),
+                                   [&](const HostAppCount& c) { return c.app == spec.app; });
+      if (it == counts.end()) {
+        counts.push_back(HostAppCount{spec.app, spec.slo, 1});  // first pod's slo
+      } else {
+        ++it->count;
+      }
+      ++slo_pods[static_cast<size_t>(spec.slo)];
+      if (spec.slo == SloClass::kBe) {
+        ++be_pods;
+        be_cpu += spec.request.cpu;
+      }
+      request += spec.request;
+      limit += spec.limit;
+    }
+    running += h.pods.size();
+
+    for (size_t i = 1; i < h.app_counts.size(); ++i) {
+      if (h.app_counts[i - 1].app >= h.app_counts[i].app) {
+        return bad("app_counts", id, "entry " + std::to_string(i) + " " + Str(h.app_counts[i]),
+                   "strictly sorted by AppId");
+      }
+    }
+    std::sort(counts.begin(), counts.end(),
+              [](const HostAppCount& a, const HostAppCount& b) { return a.app < b.app; });
+    if (h.app_counts.size() != counts.size()) {
+      return bad("app_counts", id, std::to_string(h.app_counts.size()) + " entries",
+                 std::to_string(counts.size()));
+    }
+    const auto [stored, rebuilt] = std::mismatch(
+        h.app_counts.begin(), h.app_counts.end(), counts.begin(),
+        [](const HostAppCount& a, const HostAppCount& b) {
+          return a.app == b.app && a.slo == b.slo && a.count == b.count;
+        });
+    if (stored != h.app_counts.end()) {
+      return bad("app_counts", id, Str(*stored), Str(*rebuilt));
+    }
+    for (int c = 0; c < kNumSloClasses; ++c) {
+      if (h.slo_pods[c] != slo_pods[c]) {
+        return bad("slo_pods[" + std::to_string(c) + "]", id, std::to_string(h.slo_pods[c]),
+                   std::to_string(slo_pods[c]));
+      }
+    }
+    if (h.be_pod_count != be_pods) {
+      return bad("be_pod_count", id, std::to_string(h.be_pod_count), std::to_string(be_pods));
+    }
+    if (std::abs(h.be_request_cpu - be_cpu) > 1e-12) {
+      return bad("be_request_cpu", id, Str(h.be_request_cpu), Str(be_cpu));
+    }
+    if (!near(h.request_sum, request)) {
+      return bad("request_sum", id, Str(h.request_sum), Str(request));
+    }
+    if (!near(h.limit_sum, limit)) {
+      return bad("limit_sum", id, Str(h.limit_sum), Str(limit));
+    }
+  }
+  if (hosts_with_be_.size() != indexed) {
+    return "hosts_with_be_: " + std::to_string(hosts_with_be_.size()) + " entries, expected " +
+           std::to_string(indexed);
+  }
+  if (num_running_ != running) {
+    return "num_running_: " + std::to_string(num_running_) + ", expected " +
+           std::to_string(running);
+  }
+  return {};
 }
 
 }  // namespace optum

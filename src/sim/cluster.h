@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/types.h"
@@ -140,11 +141,6 @@ struct Host {
   }
 };
 
-// Resident pod counts by SLO class — a copy of the incrementally maintained
-// Host::slo_pods array (O(1), no histogram walk). The pressure sensor's host
-// loop uses this to fill HostPressureInput.
-void CountPodsBySlo(const Host& host, int32_t out[kNumSloClasses]);
-
 // Anti-affinity check: true when placing `pod` on `host` would not exceed
 // the pod's same-application per-host limit. Every scheduler (and the
 // simulator's preemption path) honors this — affinity requirements are part
@@ -178,6 +174,13 @@ class ClusterState {
   // Hosts currently running at least one BE pod (arbitrary order); LSR
   // preemption scans only these.
   std::span<const HostId> hosts_with_be() const { return hosts_with_be_; }
+
+  // Rebuilds every derived field from the hosts' pod lists and compares it
+  // with the incrementally maintained copy (DESIGN.md §8 lists the fields
+  // and tolerances). Returns "" when consistent, otherwise a message naming
+  // the first bad field and its host. O(pods); tests call it, the
+  // scheduling paths do not.
+  std::string CheckInvariants() const;
 
   // The owner's crew, lent to readers of this cluster that split a pass
   // over its hosts (OptumScheduler::ObserveColocation); nullptr when none

@@ -602,11 +602,9 @@ void Simulator::SamplePressure() {
     obs::HostPressureInput in;
     in.cpu_util = host.CpuDemandRatio();
     in.mem_util = host.MemRatio();
-    int32_t counts[kNumSloClasses];
-    CountPodsBySlo(host, counts);
-    in.pods_be = counts[static_cast<size_t>(SloClass::kBe)];
-    in.pods_ls = counts[static_cast<size_t>(SloClass::kLs)];
-    in.pods_lsr = counts[static_cast<size_t>(SloClass::kLsr)];
+    in.pods_be = host.slo_pods[static_cast<size_t>(SloClass::kBe)];
+    in.pods_ls = host.slo_pods[static_cast<size_t>(SloClass::kLs)];
+    in.pods_lsr = host.slo_pods[static_cast<size_t>(SloClass::kLsr)];
     const int32_t ls_pods = in.pods_ls + in.pods_lsr;
     if (ls_pods > 0 && config_.pressure_interference) {
       in.interference =

@@ -197,7 +197,8 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 3, [&](const std::vector<double>& v) {
           NodeMeta n;
-          if (!ParseInt(v[0], &n.machine_id)) {
+          // A host needs positive capacity: utilization divides by it.
+          if (!ParseInt(v[0], &n.machine_id) || !(v[1] > 0.0) || !(v[2] > 0.0)) {
             return false;
           }
           n.capacity = {v[1], v[2]};
@@ -214,7 +215,8 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           PodMeta p;
           if (!ParseInt(v[0], &p.pod_id) || !ParseAppId(v[1], &p.app_id) ||
               !ParseSlo(v[2], &p.slo) || !ParseInt(v[7], &p.submit_tick) ||
-              !ParseInt(v[8], &p.original_machine_id)) {
+              !ParseInt(v[8], &p.original_machine_id) || v[3] < 0.0 || v[4] < 0.0 ||
+              v[5] < 0.0 || v[6] < 0.0) {
             return false;
           }
           p.request = {v[3], v[4]};

@@ -21,8 +21,10 @@ bool WriteTraceBundle(const TraceBundle& bundle, const std::string& directory);
 // the last field, a line longer than 511 bytes, a non-finite field, an id or
 // tick that is not an integer inside its type's range, an slo outside
 // [0, kNumSloClasses), an app_id (pods.csv, lifecycles.csv) outside
-// [0, kAppIdLimit), or a pod_usage.csv row with a negative host or a tick
-// below the previous row's (pod_usage is tick-major, host >= 0).
+// [0, kAppIdLimit), a nodes.csv capacity that is not positive, a pods.csv
+// request or limit below zero (zero is accepted), or a pod_usage.csv row with
+// a negative host or a tick below the previous row's (pod_usage is
+// tick-major, host >= 0).
 bool ReadTraceBundle(const std::string& directory, TraceBundle* out);
 
 }  // namespace optum

@@ -1,7 +1,8 @@
 // Property and stress tests for the epoch-keyed host-baseline cache:
 // randomized Place/Remove/Observe/InvalidateAll interleavings must never let
 // a stale prediction survive a Host::change_epoch or EroTable::version bump,
-// and concurrent predictions on distinct hosts must match serial rescans.
+// and concurrent predictions on distinct hosts must match the from-scratch
+// Eq. 8 oracle (tests/scoring_oracle.h).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,6 +12,7 @@
 #include "src/core/resource_usage_predictor.h"
 #include "src/stats/rng.h"
 #include "src/trace/workload_generator.h"
+#include "tests/scoring_oracle.h"
 
 namespace optum::core {
 namespace {
@@ -45,7 +47,9 @@ TEST(HostBaselineCacheStressTest, NoStaleHitSurvivesEpochOrVersionBumps) {
   OptumProfiles profiles;
   ClusterState cluster(6, kUnitResources, 16);
   ResourceUsagePredictor predictor(&profiles);
-  ASSERT_TRUE(predictor.cache_enabled());
+  const auto oracle = [&](const Host& host, const PodSpec* incoming) {
+    return testing_oracle::PredictHost(profiles, predictor.grouping(), host, incoming);
+  };
 
   Rng rng(4321);
   std::vector<PodRuntime*> placed;
@@ -88,11 +92,11 @@ TEST(HostBaselineCacheStressTest, NoStaleHitSurvivesEpochOrVersionBumps) {
     const PodSpec& probe = workload.pods[rng.NextBelow(workload.pods.size())];
     for (const Host& host : cluster.hosts()) {
       const Resources base_cached = predictor.PredictHost(host, nullptr);
-      const Resources base_rescan = predictor.PredictHostRescan(host, nullptr);
+      const Resources base_rescan = oracle(host, nullptr);
       ASSERT_EQ(base_cached.cpu, base_rescan.cpu) << "host " << host.id;
       ASSERT_EQ(base_cached.mem, base_rescan.mem) << "host " << host.id;
       const Resources inc_cached = predictor.PredictHost(host, &probe);
-      const Resources inc_rescan = predictor.PredictHostRescan(host, &probe);
+      const Resources inc_rescan = oracle(host, &probe);
       ASSERT_EQ(inc_cached.cpu, inc_rescan.cpu) << "host " << host.id;
       ASSERT_EQ(inc_cached.mem, inc_rescan.mem) << "host " << host.id;
     }
@@ -105,7 +109,7 @@ TEST(HostBaselineCacheStressTest, NoStaleHitSurvivesEpochOrVersionBumps) {
 TEST(HostBaselineCacheStressTest, ParallelDistinctHostPredictionsAreSafe) {
   // PredictHost's contract: concurrent calls on distinct hosts touch
   // distinct cache slots. Drive that pattern from several threads
-  // (TSan-verifiable) and check values against serial rescans.
+  // (TSan-verifiable) and check values against the oracle.
   WorkloadConfig wconfig;
   wconfig.num_hosts = 64;
   wconfig.horizon = kTicksPerHour;
@@ -130,8 +134,8 @@ TEST(HostBaselineCacheStressTest, ParallelDistinctHostPredictionsAreSafe) {
     predicted[i] = predictor.PredictHost(cluster.host(static_cast<HostId>(i)), &probe);
   });
   for (size_t i = 0; i < cluster.num_hosts(); ++i) {
-    const Resources rescan =
-        predictor.PredictHostRescan(cluster.host(static_cast<HostId>(i)), &probe);
+    const Resources rescan = testing_oracle::PredictHost(
+        profiles, predictor.grouping(), cluster.host(static_cast<HostId>(i)), &probe);
     ASSERT_EQ(predicted[i].cpu, rescan.cpu) << "host " << i;
     ASSERT_EQ(predicted[i].mem, rescan.mem) << "host " << i;
   }

@@ -6,7 +6,8 @@
 // the same tables for every crew size the fill runs on, for predictors over
 // hand-made profiles that fill their own, and after ReplaceProfiles — which
 // must also re-sync the usage predictor's flat memory profiles and its
-// cached baselines with the new ERO table.
+// cached baselines with the new ERO table (checked against the Eq. 8 oracle
+// in tests/scoring_oracle.h, which reads the profiles' own models).
 // Labeled `concurrency`: the fill runs on a ShardCrew.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "src/sched/baselines.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload_generator.h"
+#include "tests/scoring_oracle.h"
 
 namespace optum::core {
 namespace {
@@ -338,13 +340,15 @@ TEST_F(InterferenceTableTest, ReplaceProfilesResyncsMemoryProfilesAndEro) {
     size_t mem_moved = 0;
     for (const Host& host : cluster.hosts()) {
       const Resources as_is = usage.PredictHost(host, nullptr);
-      const Resources as_is_rescan = usage.PredictHostRescan(host, nullptr);
+      const Resources as_is_rescan =
+          testing_oracle::PredictHost(swapped, usage.grouping(), host, nullptr);
       ASSERT_TRUE(SameBits(as_is.cpu, as_is_rescan.cpu) &&
                   SameBits(as_is.mem, as_is_rescan.mem))
           << "host " << host.id;
       for (const PodSpec& pod : incoming) {
         const Resources cached = usage.PredictHost(host, &pod);
-        const Resources rescan = usage.PredictHostRescan(host, &pod);
+        const Resources rescan =
+            testing_oracle::PredictHost(swapped, usage.grouping(), host, &pod);
         const Resources want = fresh.usage_predictor().PredictHost(host, &pod);
         ASSERT_TRUE(SameBits(cached.cpu, rescan.cpu) && SameBits(cached.mem, rescan.mem))
             << "host " << host.id << " app " << pod.app;

@@ -1,14 +1,17 @@
 // Equivalence and determinism guarantees for the performance architecture:
-//  - the incremental host-scoring cache is bit-identical to full rescans,
-//    at the predictor level and end-to-end (identical placement sequences
-//    and headline aggregates on a seeded workload);
+//  - the epoch-keyed host baselines are bit-identical to the from-scratch
+//    Eq. 8 oracle (tests/scoring_oracle.h), at the predictor level and at
+//    every tick of a seeded end-to-end run, whose result digest is pinned
+//    per scoring mode;
 //  - the simulator tick's whole TraceBundle is bit-identical for every
 //    lane count;
-//  - the incrementally maintained per-host app counts and BE-mass index
-//    match a from-scratch rebuild after arbitrary place/remove sequences.
+//  - the incrementally maintained per-host state passes
+//    ClusterState::CheckInvariants() after arbitrary place/remove sequences.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "src/sim/simulator.h"
 #include "src/stats/rng.h"
 #include "src/trace/workload_generator.h"
+#include "tests/scoring_oracle.h"
 #include "tests/sim_test_util.h"
 
 namespace optum {
@@ -57,63 +61,64 @@ OptumProfiles TrainProfiles(const Workload& workload, const SimConfig& sim_confi
   return core::OfflineProfiler(prof).BuildProfiles(ref.trace);
 }
 
-SimResult RunOptum(const Workload& workload, const SimConfig& sim_config,
-                   OptumProfiles profiles, const OptumConfig& optum_config) {
-  OptumScheduler optum(std::move(profiles), optum_config);
-  SimConfig config = sim_config;
-  config.on_tick_end = [&optum](const ClusterState& cluster, Tick now) {
-    optum.ObserveColocation(cluster, now);
-  };
-  return Simulator(workload, config, optum).Run();
+// Bitwise equality of two predictions.
+bool SameBits(const Resources& a, const Resources& b) {
+  return std::bit_cast<uint64_t>(a.cpu) == std::bit_cast<uint64_t>(b.cpu) &&
+         std::bit_cast<uint64_t>(a.mem) == std::bit_cast<uint64_t>(b.mem);
 }
 
-// Every decision and every headline aggregate must match exactly.
-void ExpectIdenticalResults(const SimResult& a, const SimResult& b) {
-  ASSERT_EQ(a.trace.pods.size(), b.trace.pods.size());
-  for (size_t i = 0; i < a.trace.pods.size(); ++i) {
-    EXPECT_EQ(a.trace.pods[i].pod_id, b.trace.pods[i].pod_id) << "at " << i;
-    EXPECT_EQ(a.trace.pods[i].original_machine_id, b.trace.pods[i].original_machine_id)
-        << "placement diverged at decision " << i;
-  }
-  EXPECT_EQ(a.scheduled_pods, b.scheduled_pods);
-  EXPECT_EQ(a.never_scheduled_pods, b.never_scheduled_pods);
-  EXPECT_EQ(a.oom_kills, b.oom_kills);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.violation_host_ticks, b.violation_host_ticks);
-  EXPECT_EQ(a.nonidle_host_ticks, b.nonidle_host_ticks);
-  EXPECT_DOUBLE_EQ(a.MeanCpuUtilNonIdle(), b.MeanCpuUtilNonIdle());
-  EXPECT_DOUBLE_EQ(a.MeanMemUtilNonIdle(), b.MeanMemUtilNonIdle());
-  ASSERT_EQ(a.util_series.size(), b.util_series.size());
-  for (size_t i = 0; i < a.util_series.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.util_series[i].avg_cpu_nonidle, b.util_series[i].avg_cpu_nonidle);
-    EXPECT_DOUBLE_EQ(a.util_series[i].max_cpu, b.util_series[i].max_cpu);
-  }
-  ASSERT_EQ(a.trace.lifecycles.size(), b.trace.lifecycles.size());
-  ASSERT_EQ(a.waits.size(), b.waits.size());
-}
-
-// --- Cached vs uncached scoring, end-to-end ----------------------------------
+// --- One scoring path, end-to-end --------------------------------------------
 
 class CacheEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<ScoreMode, bool>> {};
 
+// Runs Optum once per mode. At the end of every tick the cluster passes its
+// invariant checker, and the scheduler's PredictHost equals the oracle on
+// every host, as-is and with a probe pod appended. The pinned result digests
+// are the values the deleted cache-off configuration produced too, so the
+// one scoring path makes exactly the pre-incremental decisions.
 TEST_P(CacheEquivalenceTest, IdenticalDecisionsAndAggregates) {
   const auto [score_mode, use_triple] = GetParam();
   const Workload workload = MakeWorkload(200, 3 * kTicksPerHour, 29);
   const SimConfig sim_config = MakeSimConfig();
-  const OptumProfiles profiles = TrainProfiles(workload, sim_config, use_triple);
+  OptumConfig optum_config;
+  optum_config.score_mode = score_mode;
+  optum_config.use_triple_ero = use_triple;
+  OptumScheduler optum(TrainProfiles(workload, sim_config, use_triple), optum_config);
+  const ResourceUsagePredictor::Grouping grouping = optum.usage_predictor().grouping();
 
-  OptumConfig cached;
-  cached.score_mode = score_mode;
-  cached.use_triple_ero = use_triple;
-  cached.use_incremental_cache = true;
-  OptumConfig uncached = cached;
-  uncached.use_incremental_cache = false;
+  SimConfig config = sim_config;
+  int64_t checked_ticks = 0;
+  std::string first_error;
+  config.on_tick_end = [&](const ClusterState& cluster, Tick now) {
+    optum.ObserveColocation(cluster, now);
+    ++checked_ticks;
+    testing_sim::KeepFirstInvariantError(cluster, now, &first_error);
+    const PodSpec& probe =
+        workload.pods[static_cast<size_t>(now) * 7919 % workload.pods.size()];
+    for (const Host& host : cluster.hosts()) {
+      for (const PodSpec* incoming : {static_cast<const PodSpec*>(nullptr), &probe}) {
+        const Resources got = optum.usage_predictor().PredictHost(host, incoming);
+        const Resources want =
+            testing_oracle::PredictHost(optum.profiles(), grouping, host, incoming);
+        if (!SameBits(got, want) && first_error.empty()) {
+          first_error = "tick " + std::to_string(now) + ": PredictHost of host " +
+                        std::to_string(host.id) + " differs from the oracle";
+        }
+      }
+    }
+  };
+  const SimResult result = Simulator(workload, config, optum).Run();
+  EXPECT_EQ(checked_ticks, workload.config.horizon);
+  EXPECT_EQ(first_error, "");
+  EXPECT_GT(result.scheduled_pods, 0);
 
-  const SimResult with_cache = RunOptum(workload, sim_config, profiles, cached);
-  const SimResult without_cache = RunOptum(workload, sim_config, profiles, uncached);
-  ExpectIdenticalResults(with_cache, without_cache);
-  EXPECT_GT(with_cache.scheduled_pods, 0);
+  const uint64_t want_digest = score_mode == ScoreMode::kPaperAbsolute
+                                   ? (use_triple ? 5166776195272395666ULL
+                                                 : 14820071295971155219ULL)
+                                   : (use_triple ? 11724099321733679068ULL
+                                                 : 2086296213680431445ULL);
+  EXPECT_EQ(testing_sim::SimResultDigest(result), want_digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -132,7 +137,6 @@ TEST(IncrementalPredictorTest, MatchesRescanUnderPlacementAndEroChurn) {
     OptumProfiles profiles;
     ClusterState cluster(8, kUnitResources, 16);
     ResourceUsagePredictor cached(&profiles, grouping);
-    ASSERT_TRUE(cached.cache_enabled());
 
     Rng rng(123);
     std::vector<PodRuntime*> placed;
@@ -160,17 +164,15 @@ TEST(IncrementalPredictorTest, MatchesRescanUnderPlacementAndEroChurn) {
         }
       }
       // Every host, as-is and with a hypothetical incoming pod: the cached
-      // prediction must be bit-identical to the full rescan.
+      // prediction must be bit-identical to the oracle's full rescan.
       const PodSpec& probe = workload.pods[rng.NextBelow(workload.pods.size())];
       for (const Host& host : cluster.hosts()) {
-        const Resources base_cached = cached.PredictHost(host, nullptr);
-        const Resources base_rescan = cached.PredictHostRescan(host, nullptr);
-        EXPECT_DOUBLE_EQ(base_cached.cpu, base_rescan.cpu);
-        EXPECT_DOUBLE_EQ(base_cached.mem, base_rescan.mem);
-        const Resources inc_cached = cached.PredictHost(host, &probe);
-        const Resources inc_rescan = cached.PredictHostRescan(host, &probe);
-        EXPECT_DOUBLE_EQ(inc_cached.cpu, inc_rescan.cpu);
-        EXPECT_DOUBLE_EQ(inc_cached.mem, inc_rescan.mem);
+        for (const PodSpec* incoming : {static_cast<const PodSpec*>(nullptr), &probe}) {
+          EXPECT_TRUE(SameBits(cached.PredictHost(host, incoming),
+                               testing_oracle::PredictHost(profiles, grouping, host,
+                                                           incoming)))
+              << "host " << host.id << " step " << step;
+        }
       }
     }
   }
@@ -195,7 +197,8 @@ TEST(IncrementalPredictorTest, InvalidateAllPicksUpProfileSwaps) {
   const Resources after = predictor.PredictHost(cluster.host(0), nullptr);
   EXPECT_DOUBLE_EQ(after.mem, 0.25 * spec.request.mem);
   EXPECT_NE(before.mem, after.mem);
-  EXPECT_DOUBLE_EQ(after.cpu, predictor.PredictHostRescan(cluster.host(0), nullptr).cpu);
+  EXPECT_TRUE(SameBits(after, testing_oracle::PredictHost(profiles, predictor.grouping(),
+                                                         cluster.host(0), nullptr)));
 }
 
 // --- Parallel tick determinism ----------------------------------------------
@@ -225,6 +228,8 @@ TEST(ParallelTickTest, BitIdenticalToSerial) {
 
 // --- Incremental host-state maintenance --------------------------------------
 
+// Every derived field ClusterState maintains (app counts, SLO counts, BE mass
+// and index, request/limit sums, running count) against its rebuild.
 TEST(HostStateMaintenanceTest, AppCountsAndBeMassMatchRebuild) {
   const Workload workload = MakeWorkload(6, kTicksPerHour, 5);
   ClusterState cluster(6, kUnitResources, 16);
@@ -247,71 +252,41 @@ TEST(HostStateMaintenanceTest, AppCountsAndBeMassMatchRebuild) {
       placed.pop_back();
     }
 
-    size_t hosts_with_be_expected = 0;
-    for (const Host& host : cluster.hosts()) {
-      // Rebuild app counts from the pod list and compare.
-      std::vector<HostAppCount> rebuilt;
-      double be_cpu = 0.0;
-      int be_count = 0;
-      for (const PodRuntime* pod : host.pods) {
-        auto it = std::find_if(rebuilt.begin(), rebuilt.end(), [&](const auto& c) {
-          return c.app == pod->spec.app;
-        });
-        if (it == rebuilt.end()) {
-          rebuilt.push_back(HostAppCount{pod->spec.app, pod->spec.slo, 1});
-        } else {
-          ++it->count;
-        }
-        if (pod->spec.slo == SloClass::kBe) {
-          be_cpu += pod->spec.request.cpu;
-          ++be_count;
-        }
-      }
-      ASSERT_EQ(host.app_counts.size(), rebuilt.size()) << "host " << host.id;
-      for (const auto& expected : rebuilt) {
-        auto it = std::find_if(
-            host.app_counts.begin(), host.app_counts.end(),
-            [&](const auto& c) { return c.app == expected.app; });
-        ASSERT_NE(it, host.app_counts.end());
-        EXPECT_EQ(it->count, expected.count);
-      }
-      // Sorted-by-app invariant (interference sums rely on a canonical
-      // iteration order).
-      for (size_t i = 1; i < host.app_counts.size(); ++i) {
-        EXPECT_LT(host.app_counts[i - 1].app, host.app_counts[i].app);
-      }
-      EXPECT_EQ(host.be_pod_count, be_count);
-      EXPECT_NEAR(host.be_request_cpu, be_cpu, 1e-12);
-      if (be_count > 0) {
-        ++hosts_with_be_expected;
-        EXPECT_NE(std::find(cluster.hosts_with_be().begin(),
-                            cluster.hosts_with_be().end(), host.id),
-                  cluster.hosts_with_be().end());
-      }
-    }
-    EXPECT_EQ(cluster.hosts_with_be().size(), hosts_with_be_expected);
+    ASSERT_EQ(cluster.CheckInvariants(), "") << "after step " << step;
   }
 }
 
 // --- Wait-reason classification (single-computation restructure) -------------
 
+// The parameter is the state of the epoch-keyed baseline cache at each
+// decision: true warms every host's baseline on one long-lived scheduler
+// first; false decides on a fresh scheduler, so every baseline is computed
+// cold inside Place(). The classification must not depend on it.
 class WaitReasonTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(WaitReasonTest, ClassificationUnchangedByCache) {
-  const bool use_cache = GetParam();
+  const bool warm_cache = GetParam();
   // One tiny host; profiles empty so predictions fall back to full requests
   // (ERO = 1.0, mem_profile = 1.0) and classification is exact.
-  OptumProfiles profiles;
   OptumConfig config;
-  config.use_incremental_cache = use_cache;
   config.min_candidates = 1;
-  OptumScheduler optum(std::move(profiles), config);
+  OptumScheduler warm(OptumProfiles{}, config);
   ClusterState cluster(1, Resources{1.0, 1.0}, 16);
 
   AppProfile app;
   app.id = 4;
   app.slo = SloClass::kLs;
 
+  auto place = [&](const PodSpec& pod) {
+    if (!warm_cache) {
+      OptumScheduler cold(OptumProfiles{}, config);
+      return cold.Place(pod, app, cluster);
+    }
+    for (const Host& host : cluster.hosts()) {
+      warm.usage_predictor().PredictHost(host, nullptr);
+    }
+    return warm.Place(pod, app, cluster);
+  };
   auto decide = [&](Resources request) {
     PodSpec pod;
     pod.id = 1;
@@ -319,7 +294,7 @@ TEST_P(WaitReasonTest, ClassificationUnchangedByCache) {
     pod.slo = app.slo;
     pod.request = request;
     pod.limit = request;
-    return optum.Place(pod, app, cluster);
+    return place(pod);
   };
 
   EXPECT_EQ(decide({1.5, 0.1}).reason, WaitReason::kInsufficientCpu);
@@ -337,7 +312,7 @@ TEST_P(WaitReasonTest, ClassificationUnchangedByCache) {
   limited.max_pods_per_host = 1;
   const PodSpec first = limited;
   cluster.Place(first, &app, 0, 0);
-  EXPECT_EQ(optum.Place(limited, app, cluster).reason, WaitReason::kOther);
+  EXPECT_EQ(place(limited).reason, WaitReason::kOther);
 }
 
 INSTANTIATE_TEST_SUITE_P(CachedAndUncached, WaitReasonTest, ::testing::Bool());

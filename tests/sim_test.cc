@@ -2,7 +2,7 @@
 // end-to-end simulator loop.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
 
 #include "src/sched/baselines.h"
 #include "src/sim/cluster.h"
@@ -167,14 +167,8 @@ TEST(ClusterStateTest, PodRuntimeRecycling) {
   EXPECT_DOUBLE_EQ(second->progress, 0.0);  // state fully reset
 }
 
-// The pod scan Host::HasSloWorkload replaced with a slo_pods read.
-bool HasSloWorkloadByScan(const Host& host) {
-  return std::any_of(host.pods.begin(), host.pods.end(), [](const PodRuntime* pod) {
-    const SloClass slo = pod->spec.slo;
-    return slo == SloClass::kBe || slo == SloClass::kLs || slo == SloClass::kLsr;
-  });
-}
-
+// Host::HasSloWorkload reads slo_pods; ClusterState::CheckInvariants()
+// rebuilds slo_pods (and every other derived field) from the pod lists.
 TEST(ClusterStateTest, HasSloWorkloadMatchesPodScanAcrossPlaceAndRemove) {
   // Every class, including the system/VM-env/unknown pods that must not
   // make a host count as running SLO workload.
@@ -200,10 +194,7 @@ TEST(ClusterStateTest, HasSloWorkloadMatchesPodScanAcrossPlaceAndRemove) {
       placed[victim] = placed.back();
       placed.pop_back();
     }
-    for (const Host& host : cluster.hosts()) {
-      ASSERT_EQ(host.HasSloWorkload(), HasSloWorkloadByScan(host))
-          << "host " << host.id << " after step " << step;
-    }
+    ASSERT_EQ(cluster.CheckInvariants(), "") << "after step " << step;
   }
 }
 
@@ -217,16 +208,14 @@ TEST(SimulatorTest, HasSloWorkloadMatchesPodScanThroughPreemptionAndOom) {
   SimConfig config;
   config.pod_usage_period = 5;
   config.max_attempts_per_tick = 1500;
-  int64_t mismatches = 0;
-  config.on_tick_end = [&mismatches](const ClusterState& cluster, Tick) {
-    for (const Host& host : cluster.hosts()) {
-      mismatches += host.HasSloWorkload() != HasSloWorkloadByScan(host) ? 1 : 0;
-    }
+  std::string first_error;
+  config.on_tick_end = [&first_error](const ClusterState& cluster, Tick now) {
+    testing_sim::KeepFirstInvariantError(cluster, now, &first_error);
   };
   const SimResult result = Simulator(workload, config, policy).Run();
   EXPECT_GT(result.oom_kills, 0);
   EXPECT_GT(result.preemptions, 0);
-  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(first_error, "");
 }
 
 TEST(ClusterStateTest, HostHistoryRollingWindow) {

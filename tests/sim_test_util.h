@@ -16,6 +16,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -66,6 +67,19 @@ inline auto Fields(const WaitSample& r) {
 inline auto Fields(const UtilSample& r) {
   return std::tie(r.tick, r.avg_cpu_nonidle, r.avg_mem_nonidle, r.max_cpu,
                   r.frac_hosts_nonidle);
+}
+
+// Keeps the first ClusterState::CheckInvariants() failure of a run in
+// `*first`, prefixed with its tick; call it from SimConfig::on_tick_end.
+inline void KeepFirstInvariantError(const ClusterState& cluster, Tick now,
+                                    std::string* first) {
+  if (!first->empty()) {
+    return;
+  }
+  const std::string error = cluster.CheckInvariants();
+  if (!error.empty()) {
+    *first = "tick " + std::to_string(now) + ": " + error;
+  }
 }
 
 // A table of rows: a std::vector, or the ChunkedRows that holds pod_usage.

@@ -486,6 +486,28 @@ TEST(TraceIoTest, RejectsAppIdOutsideItsRange) {
   }
 }
 
+TEST(TraceIoTest, RejectsNodeCapacityNotPositive) {
+  EXPECT_TRUE(ReadsWithAppendedRow("capacity_control", "nodes.csv", "4,0.001,2\n"));
+  for (const char* capacity : {"0,1", "1,0", "-0.5,1", "1,-2", "-0,1"}) {
+    SCOPED_TRACE(capacity);
+    EXPECT_FALSE(ReadsWithAppendedRow("capacity", "nodes.csv",
+                                      "4," + std::string(capacity) + "\n"));
+  }
+}
+
+TEST(TraceIoTest, RejectsNegativePodRequestOrLimit) {
+  // Zero requests and limits read back: the reader rejects only negatives.
+  EXPECT_TRUE(ReadsWithAppendedRow("request_control", "pods.csv",
+                                   "43,1,1,0,0,0,0,100,3\n"));
+  for (const char* resources :
+       {"-0.25,0.125,0.5,0.25", "0.25,-0.125,0.5,0.25", "0.25,0.125,-0.5,0.25",
+        "0.25,0.125,0.5,-1e-9"}) {
+    SCOPED_TRACE(resources);
+    EXPECT_FALSE(ReadsWithAppendedRow("request", "pods.csv",
+                                      "43,1,1," + std::string(resources) + ",100,3\n"));
+  }
+}
+
 TEST(TraceIoTest, RejectsCharactersAfterLastField) {
   EXPECT_TRUE(ReadsWithAppendedRow("tail_control", "node_usage.csv",
                                    "3,101,0.5,0.25,0.1,0.2 \r\n"));

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Builds the RelWithDebInfo preset and runs the hot-path benchmark, writing
 # BENCH_hotpath.json at the repo root (or to the positional output if given).
+# Its "scoring" rows record PlaceScored throughput (pods_per_sec_cached) on
+# the scheduler's one scoring path; there is no cache-off baseline row.
 # BENCH_hotpath.json also carries a "forest" section: ns/row of
 # pointer-tree forest descent vs the compiled SoA engine over a batch-size
 # sweep, and an "observability" section with the span-log / series-ring

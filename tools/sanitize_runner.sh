@@ -8,8 +8,10 @@
 # other's shards; simulator lane invariance and the simulator fixtures
 # that run its tick on the crew (sim_test), concurrent-scheduler
 # invariance, interference-table fill, the chunked pod-usage row store's
-# parallel fill, host-baseline stress, and metrics-registry tests that
-# guard the coordinator's shard lanes and the lane-sharded metric shards.
+# parallel fill, host-baseline stress, the cluster-state checker through the
+# simulator's OOM and preemption path on every lane count
+# (cluster_invariant_test), and metrics-registry tests that guard the
+# coordinator's shard lanes and the lane-sharded metric shards.
 #
 #   tools/sanitize_runner.sh [tsan|asan-ubsan|all]   (default: all)
 #
@@ -24,7 +26,8 @@ CONCURRENCY_TARGETS=(concurrency_test cache_property_test interference_table_tes
                      span_timeseries_test compiled_forest_test
                      serve_test serve_pipeline_test
                      latency_percentile_test pressure_slo_test profiler_test
-                     shard_crew_test chunked_rows_test core_distributed_test)
+                     shard_crew_test chunked_rows_test core_distributed_test
+                     cluster_invariant_test)
 
 # Guard: every test registered in tests/CMakeLists.txt with a concurrency or
 # observability label must be in CONCURRENCY_TARGETS, or the sanitizer pass
