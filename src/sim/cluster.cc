@@ -97,12 +97,15 @@ ClusterState::ClusterState(int num_hosts, Resources capacity, size_t history_win
 
 namespace {
 
-// Insert-or-increment into the AppId-sorted per-host count list.
+// Insert-or-increment into the AppId-sorted per-host count list. An entry
+// keeps the slo of the pod that created it, so every pod of an app on one
+// host must carry that slo.
 void BumpAppCount(std::vector<HostAppCount>& counts, AppId app, SloClass slo) {
   auto it = std::lower_bound(
       counts.begin(), counts.end(), app,
       [](const HostAppCount& c, AppId a) { return c.app < a; });
   if (it != counts.end() && it->app == app) {
+    OPTUM_CHECK_MSG(it->slo == slo, "an app's pods on one host share one SLO class");
     ++it->count;
     return;
   }

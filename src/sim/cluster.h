@@ -69,8 +69,8 @@ struct PodRuntime {
   void RecordCpuSample(double value, Rng& slot_rng);
 };
 
-// Pod count for one application on one host, with the SLO class of the
-// first-seen pod (matches what interference weighting needs).
+// Pod count for one application on one host, with the SLO class all of
+// them share (what interference weighting needs).
 struct HostAppCount {
   AppId app = kInvalidAppId;
   SloClass slo = SloClass::kUnknown;
@@ -93,7 +93,9 @@ struct Host {
 
   // Per-application pod counts, kept sorted by AppId and maintained
   // incrementally on place/remove. Interference prediction iterates this
-  // instead of rebuilding a flat map per candidate.
+  // instead of rebuilding a flat map per candidate. An app's pods on one
+  // host share one SLO class (ClusterState::Place checks it): every pod
+  // source copies the app's slo into its PodSpec.
   std::vector<HostAppCount> app_counts;
 
   // Resident pod counts by SLO class, maintained incrementally alongside
@@ -162,7 +164,8 @@ class ClusterState {
   void set_now(Tick t) { now_ = t; }
 
   // Places a pod; the caller guarantees `host` is valid. Returns the new
-  // runtime record.
+  // runtime record. Aborts when a pod of the same app with another slo
+  // already runs on `host` (see Host::app_counts).
   PodRuntime* Place(const PodSpec& spec, const AppProfile* app, HostId host, Tick at);
 
   // Removes a pod from its host (on completion, preemption, or OOM kill).

@@ -30,6 +30,39 @@ void PrefetchPod(const PodRuntime* pod) {
   }
 }
 
+// The newest best-effort pod on `host`, or nullptr when it runs none: the
+// victim of both LSR preemption and the OOM killer.
+PodRuntime* NewestBe(const Host& host) {
+  for (auto it = host.pods.rbegin(); it != host.pods.rend(); ++it) {
+    if ((*it)->spec.slo == SloClass::kBe) {
+      return *it;
+    }
+  }
+  return nullptr;
+}
+
+// The lifecycle record of a pod that finished at `finish_tick`, or of one
+// still running at the horizon (finish_tick = -1, no completion time).
+PodLifecycleRecord LifecycleOf(const PodRuntime& pod, Tick finish_tick) {
+  PodLifecycleRecord rec;
+  rec.pod_id = pod.spec.id;
+  rec.app_id = pod.spec.app;
+  rec.slo = pod.spec.slo;
+  rec.submit_tick = pod.spec.submit_tick;
+  rec.schedule_tick = pod.scheduled_at;
+  rec.finish_tick = finish_tick;
+  rec.host = pod.host;
+  rec.waiting_seconds =
+      static_cast<double>(pod.scheduled_at - pod.spec.submit_tick) * kSecondsPerTick;
+  if (pod.spec.slo == SloClass::kBe) {
+    rec.ideal_completion_ticks = pod.spec.behavior.work_ticks;
+    rec.actual_completion_ticks =
+        finish_tick < 0 ? 0.0 : static_cast<double>(finish_tick - pod.scheduled_at);
+  }
+  rec.max_cpu_psi = pod.max_psi;
+  return rec;
+}
+
 }  // namespace
 
 const char* ToString(WaitReason reason) {
@@ -191,30 +224,12 @@ bool Simulator::TryPreemptForLsr(const PodSpec& pod, const AppProfile& app) {
   Host& h = cluster_.mutable_host(best);
   // Evict newest BE pods until the request fits.
   while (h.request_sum.cpu + pod.request.cpu > h.capacity.cpu) {
-    PodRuntime* victim = nullptr;
-    for (auto it = h.pods.rbegin(); it != h.pods.rend(); ++it) {
-      if ((*it)->spec.slo == SloClass::kBe) {
-        victim = *it;
-        break;
-      }
-    }
+    PodRuntime* victim = NewestBe(h);
     if (victim == nullptr) {
       break;
     }
     ++result_.preemptions;
-    policy_.OnPodFinished(*victim, cluster_);
-    if (config_.sinks.span_log != nullptr) {
-      config_.sinks.span_log->Append({.tick = now_,
-                                .pod = victim->spec.id,
-                                .phase = obs::SpanPhase::kEvicted,
-                                .host = victim->host,
-                                .reason = "Preempt"});
-    }
-    // Resubmit the victim: progress is lost, waiting restarts now.
-    pending_[SchedulingPriority(victim->spec.slo)].push_back(PendingPod{
-        &workload_.pods[static_cast<size_t>(victim->spec.id)], now_});
-    RemoveFromRunning(victim);
-    cluster_.Remove(victim);
+    Evict(victim, "Preempt");
   }
   if (h.request_sum.cpu + pod.request.cpu > h.capacity.cpu) {
     return false;  // Not enough evictable mass after all.
@@ -311,30 +326,13 @@ void Simulator::UpdateUsageAndPerformance() {
       continue;
     }
     while (demand.mem > host.capacity.mem) {
-      PodRuntime* victim = nullptr;
-      for (auto it = host.pods.rbegin(); it != host.pods.rend(); ++it) {
-        if ((*it)->spec.slo == SloClass::kBe) {
-          victim = *it;
-          break;
-        }
-      }
+      PodRuntime* victim = NewestBe(host);
       if (victim == nullptr) {
         victim = host.pods.back();  // Pathological: no BE to kill.
       }
       ++result_.oom_kills;
       demand -= Resources{victim->cpu_demand, victim->mem_usage};
-      policy_.OnPodFinished(*victim, cluster_);
-      if (config_.sinks.span_log != nullptr) {
-        config_.sinks.span_log->Append({.tick = now_,
-                                  .pod = victim->spec.id,
-                                  .phase = obs::SpanPhase::kEvicted,
-                                  .host = victim->host,
-                                  .reason = "OOM"});
-      }
-      pending_[SchedulingPriority(victim->spec.slo)].push_back(
-          PendingPod{&workload_.pods[static_cast<size_t>(victim->spec.id)], now_});
-      RemoveFromRunning(victim);
-      cluster_.Remove(victim);
+      Evict(victim, "OOM");
       if (host.pods.empty()) {
         break;
       }
@@ -398,24 +396,24 @@ void Simulator::SettleHost(Host& host, TickScratch& scratch) {
   host.PushHistory(usage.cpu / host.capacity.cpu, config_.nsigma_history_window);
 }
 
-void Simulator::FinishPod(PodRuntime* pod, Tick finish_tick) {
-  PodLifecycleRecord rec;
-  rec.pod_id = pod->spec.id;
-  rec.app_id = pod->spec.app;
-  rec.slo = pod->spec.slo;
-  rec.submit_tick = pod->spec.submit_tick;
-  rec.schedule_tick = pod->scheduled_at;
-  rec.finish_tick = finish_tick;
-  rec.host = pod->host;
-  rec.waiting_seconds =
-      static_cast<double>(pod->scheduled_at - pod->spec.submit_tick) * kSecondsPerTick;
-  if (pod->spec.slo == SloClass::kBe) {
-    rec.ideal_completion_ticks = pod->spec.behavior.work_ticks;
-    rec.actual_completion_ticks = static_cast<double>(finish_tick - pod->scheduled_at);
+void Simulator::Evict(PodRuntime* victim, const char* reason) {
+  policy_.OnPodFinished(*victim, cluster_);
+  if (config_.sinks.span_log != nullptr) {
+    config_.sinks.span_log->Append({.tick = now_,
+                              .pod = victim->spec.id,
+                              .phase = obs::SpanPhase::kEvicted,
+                              .host = victim->host,
+                              .reason = reason});
   }
-  rec.max_cpu_psi = pod->max_psi;
-  result_.trace.lifecycles.push_back(rec);
+  // Resubmit the victim: progress is lost, waiting restarts now.
+  pending_[SchedulingPriority(victim->spec.slo)].push_back(
+      PendingPod{&workload_.pods[static_cast<size_t>(victim->spec.id)], now_});
+  RemoveFromRunning(victim);
+  cluster_.Remove(victim);
+}
 
+void Simulator::FinishPod(PodRuntime* pod, Tick finish_tick) {
+  result_.trace.lifecycles.push_back(LifecycleOf(*pod, finish_tick));
   policy_.OnPodFinished(*pod, cluster_);
   if (config_.sinks.span_log != nullptr) {
     config_.sinks.span_log->Append({.tick = finish_tick,
@@ -508,24 +506,8 @@ void Simulator::RecordRunningState() {
 void Simulator::FinalizeAtHorizon() {
   // Long-running pods (and unfinished BE pods): record their lifecycle with
   // finish_tick = -1.
-  std::vector<PodRuntime*> still_running = running_;
-  for (PodRuntime* pod : still_running) {
-    PodLifecycleRecord rec;
-    rec.pod_id = pod->spec.id;
-    rec.app_id = pod->spec.app;
-    rec.slo = pod->spec.slo;
-    rec.submit_tick = pod->spec.submit_tick;
-    rec.schedule_tick = pod->scheduled_at;
-    rec.finish_tick = -1;
-    rec.host = pod->host;
-    rec.waiting_seconds =
-        static_cast<double>(pod->scheduled_at - pod->spec.submit_tick) * kSecondsPerTick;
-    if (pod->spec.slo == SloClass::kBe) {
-      rec.ideal_completion_ticks = pod->spec.behavior.work_ticks;
-      rec.actual_completion_ticks = 0.0;  // unfinished
-    }
-    rec.max_cpu_psi = pod->max_psi;
-    result_.trace.lifecycles.push_back(rec);
+  for (const PodRuntime* pod : running_) {
+    result_.trace.lifecycles.push_back(LifecycleOf(*pod, -1));
   }
 
   // Never-scheduled pods.

@@ -185,6 +185,11 @@ class Simulator {
   void FinalizeAtHorizon();
   void NoteWaitReason(const PodSpec& pod, WaitReason reason);
   void FinishPod(PodRuntime* pod, Tick finish_tick);
+  // Kills a running pod and requeues it (progress lost, waiting restarts
+  // now): the policy hears it finish, the span log records kEvicted with
+  // `reason` (OOM | Preempt), and the pod leaves running_ and the cluster.
+  // Callers count the eviction and pick the victim.
+  void Evict(PodRuntime* victim, const char* reason);
 
   // Updates the sim.* gauges; called once per tick, serially, when
   // config_.metrics is set (the streaming series recorder, if any, samples

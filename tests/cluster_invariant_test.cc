@@ -207,5 +207,21 @@ TEST_F(ClusterInvariantCorruptionTest, BeIndexDesyncedFromBePodCount) {
   ExpectReported("hosts_with_be_");
 }
 
+// --- One SLO class per app on a host -------------------------------------------
+
+// A Host::app_counts entry keeps the slo of the pod that created it. App 5
+// placed as LS and then as BE on host 0 would leave the entry's slo stale once
+// the LS pod left, and the interference sums would weight the BE pod as LS;
+// Place refuses the second pod instead.
+TEST(ClusterStateDeathTest, AppPlacedWithTwoSloClassesOnOneHostAborts) {
+  AppProfile app = SixSloApps()[1];  // LS
+  app.id = 5;
+  ClusterState cluster(1, kUnitResources, 16);
+  cluster.Place(MakePod(0, app), &app, 0, 0);
+  PodSpec be = MakePod(1, app);
+  be.slo = SloClass::kBe;
+  EXPECT_DEATH(cluster.Place(be, &app, 0, 0), "share one SLO class");
+}
+
 }  // namespace
 }  // namespace optum

@@ -93,8 +93,9 @@ struct StreamResult {
 
 // Steady-state scheduling loop on a prefilled cluster: every placement is
 // committed, and one older pod is removed every third submission so host
-// epochs churn and the incremental caches keep revalidating. Mirrors the
-// bench_hotpath loop so the tested path is the benchmarked path.
+// epochs churn and the incremental caches keep revalidating. bench_hotpath's
+// Sinks/* benchmarks time the same loop, so the tested path is the
+// benchmarked path.
 StreamResult StreamPlacements(const OptumProfiles& profiles,
                               const std::vector<const AppProfile*>& catalog,
                               int num_hosts, int prefill_per_host, int stream,

@@ -1,24 +1,32 @@
-// bench_diff: compares two BENCH_hotpath.json documents and fails on
-// throughput regressions — the repo's first CI-able perf gate
-// (tools/bench_runner.sh runs it against the committed baseline).
+// bench_diff: the perf gate over google-benchmark JSON documents
+// (bench_hotpath --benchmark_out=FILE --benchmark_out_format=json;
+// tools/bench_runner.sh runs it against the committed BENCH_hotpath.json).
 //
-// Throughput leaves are recognized by key prefix: pods_per_sec* and
-// ticks_per_sec* are higher-is-better, ns_row* is lower-is-better. Rows in
-// bench arrays are matched by their identifying fields (hosts, pods,
-// lanes, batch, ...), not by index, so reordering or appending rows never
-// misattributes a number.
-//
-// Usage:
 //   bench_diff [--threshold PCT] old.json new.json
 //
-// Exit codes: 0 = no regression (including the no-baseline case: a missing
-// old.json prints how to record one and passes, so fresh checkouts are not
-// gated on a file they cannot have), 1 = at least one metric regressed more
-// than the threshold, 2 = usage or parse error. The default threshold is
-// deliberately generous (30%) because the reference numbers come from
-// noisy shared machines; tighten it with --threshold on quiet hardware.
+// Benchmarks are matched by name and summarized by the `median` and `mad`
+// aggregates of cpu_time (the thread's CPU time per iteration). A
+// one-repetition run has no aggregates: its single run is its median, and
+// its spread is unknown. Checks:
+//   regression  the new median is slower than the old by more than PCT
+//               percent (default 10) AND by more than mad_old + mad_new;
+//   budget      each overhead budget of kBudgets, on the new file alone: the
+//               overhead of a configuration over its base fails only when it
+//               exceeds the limit by more than the pair's spread
+//               ((mad + mad_base) / median_base); a run with one repetition
+//               has no spread, so its budgets are printed, not gated;
+//   hard        error_occurred, a benchmark missing from the baseline, or a
+//               zero or non-finite median (a zero baseline could never
+//               regress) fails the gate.
+// Baseline benchmarks absent from the new file are listed and pass, so a
+// --benchmark_filter run can be diffed against the full baseline.
+//
+// Exit codes: 0 = gate passed (also when old.json does not exist: a fresh
+// checkout cannot have a baseline, so it prints how to record one), 1 = gate
+// failed, 2 = usage or parse error.
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,133 +37,112 @@ using optum::obs::JsonValue;
 
 namespace {
 
-bool ReadFile(const std::string& path, std::string* out, bool* opened) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (opened != nullptr) {
-      *opened = false;
-      return false;
-    }
-    std::fprintf(stderr, "bench_diff: cannot open %s\n", path.c_str());
-    return false;
-  }
-  if (opened != nullptr) {
-    *opened = true;
-  }
-  char buf[1 << 16];
-  size_t n;
-  out->clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
-}
-
-enum class Direction { kNotAMetric, kHigherBetter, kLowerBetter };
-
-Direction Classify(const std::string& key) {
-  if (key.rfind("pods_per_sec", 0) == 0 || key.rfind("ticks_per_sec", 0) == 0) {
-    return Direction::kHigherBetter;
-  }
-  // ns/row (forest inference) and latency_s_* (serve-layer placement
-  // latency percentiles) are both lower-is-better. The latency values are
-  // deterministic model-time arithmetic, so any nonzero change means
-  // service behavior changed, not machine noise.
-  if (key.rfind("ns_row", 0) == 0 || key.rfind("latency_s", 0) == 0) {
-    return Direction::kLowerBetter;
-  }
-  return Direction::kNotAMetric;
-}
-
-// Fields that identify a bench row across the two files (never compared as
-// metrics themselves).
-constexpr const char* kIdentityKeys[] = {"hosts",   "pods",  "lanes",
-                                         "batch",   "ticks", "candidates_per_pod",
-                                         "trees",   "rows",  "features",
-                                         "shards",  "offered_pods_per_sec",
-                                         "rounds",  "pipeline_depth"};
-
-std::string RowSignature(const JsonValue& row) {
-  std::string sig;
-  for (const char* key : kIdentityKeys) {
-    const JsonValue* v = row.Find(key);
-    if (v != nullptr && v->is_number()) {
-      sig += key;
-      sig += '=';
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", v->number);
-      sig += buf;
-      sig += ',';
-    }
-  }
-  return sig;
-}
-
-struct Comparison {
-  std::string path;
-  double old_value = 0.0;
-  double new_value = 0.0;
-  double change_pct = 0.0;  // signed; positive = improved
-  bool regressed = false;
+// The overhead budgets DESIGN.md states, gated on every run. A name matches
+// the benchmark of that name, with or without google-benchmark's
+// "/iterations:N" suffix. Spans and profile carry their measured budgets:
+// rendering three spans (~0.35 us) and closing a profiler round after every
+// placement cost more than 2% of a ~6.5 us placement (DESIGN.md §11, §14).
+struct Budget {
+  const char* name;
+  const char* base;
+  double max_pct;
+};
+constexpr Budget kBudgets[] = {
+    {"Sinks/metrics_on", "Sinks/metrics_off", 2.0},  // DESIGN.md §9
+    {"Sinks/spans", "Sinks/metrics_on", 8.0},        // DESIGN.md §11
+    {"Sinks/pressure", "Sinks/metrics_on", 2.0},     // DESIGN.md §13
+    {"Sinks/profile", "Sinks/metrics_on", 5.0},      // DESIGN.md §14
 };
 
-void Compare(const JsonValue& before, const JsonValue& after,
-             const std::string& path, double threshold_pct,
-             std::vector<Comparison>* out, int* missing) {
-  if (before.is_object() && after.is_object()) {
-    for (const auto& [key, old_child] : before.members) {
-      const JsonValue* new_child = after.Find(key);
-      const Direction dir = Classify(key);
-      if (dir != Direction::kNotAMetric && old_child.is_number()) {
-        if (new_child == nullptr || !new_child->is_number()) {
-          ++*missing;
-          continue;
-        }
-        Comparison c;
-        c.path = path + key;
-        c.old_value = old_child.number;
-        c.new_value = new_child->number;
-        if (c.old_value != 0.0) {
-          const double delta = (c.new_value - c.old_value) / c.old_value * 100.0;
-          c.change_pct = dir == Direction::kHigherBetter ? delta : -delta;
-        }
-        c.regressed = c.change_pct < -threshold_pct;
-        out->push_back(c);
-        continue;
-      }
-      if (new_child == nullptr) {
-        if (old_child.is_object() || old_child.is_array()) {
-          ++*missing;
-        }
-        continue;
-      }
-      Compare(old_child, *new_child, path + key + ".", threshold_pct, out, missing);
-    }
-    return;
+struct Summary {
+  double median_ns = NAN;
+  double mad_ns = 0.0;
+  bool has_spread = false;  // false: one repetition, spread unknown
+  int runs = 0;             // iteration entries
+  double single_run_ns = NAN;
+  std::string error;        // error_message of a failed run
+};
+
+double ToNs(const JsonValue& entry, const char* key) {
+  const JsonValue* unit = entry.Find("time_unit");
+  const std::string u = unit != nullptr ? unit->string_value : "ns";
+  const double scale = u == "s" ? 1e9 : u == "ms" ? 1e6 : u == "us" ? 1e3 : 1.0;
+  const JsonValue* v = entry.Find(key);
+  return v != nullptr && v->is_number() ? v->number * scale : NAN;
+}
+
+std::string Str(const JsonValue& entry, const char* key) {
+  const JsonValue* v = entry.Find(key);
+  return v != nullptr && v->is_string() ? v->string_value : "";
+}
+
+// Loads one document: 0 = ok, 1 = the file does not exist, 2 = unreadable
+// or not a google-benchmark JSON document.
+int Load(const std::string& path, std::map<std::string, Summary>* out) {
+  std::string text;
+  if (!optum::obs::ReadWholeFile(path, &text)) {
+    return 1;
   }
-  if (before.is_array() && after.is_array()) {
-    for (size_t i = 0; i < before.items.size(); ++i) {
-      const JsonValue& old_row = before.items[i];
-      if (!old_row.is_object()) {
-        continue;  // plain value arrays carry no named metrics
+  JsonValue doc;
+  std::string error;
+  if (!optum::obs::ParseJson(text, &doc, &error)) {
+    std::fprintf(stderr, "bench_diff: %s: %s\n", path.c_str(), error.c_str());
+    return 2;
+  }
+  const JsonValue* benchmarks = doc.Find("benchmarks");
+  if (benchmarks == nullptr || !benchmarks->is_array()) {
+    std::fprintf(stderr, "bench_diff: %s: no \"benchmarks\" array\n", path.c_str());
+    return 2;
+  }
+  for (const JsonValue& entry : benchmarks->items) {
+    std::string name = Str(entry, "run_name");
+    if (name.empty()) {
+      name = Str(entry, "name");
+    }
+    if (name.empty()) {
+      std::fprintf(stderr, "bench_diff: %s: benchmark entry without a name\n",
+                   path.c_str());
+      return 2;
+    }
+    Summary& s = (*out)[name];
+    const JsonValue* failed = entry.Find("error_occurred");
+    if (failed != nullptr && failed->bool_value) {
+      s.error = Str(entry, "error_message");
+      if (s.error.empty()) {
+        s.error = "error_occurred";
       }
-      const std::string sig = RowSignature(old_row);
-      const JsonValue* match = nullptr;
-      for (const JsonValue& new_row : after.items) {
-        if (new_row.is_object() && RowSignature(new_row) == sig) {
-          match = &new_row;
-          break;
-        }
+    }
+    if (Str(entry, "run_type") == "aggregate") {
+      const std::string aggregate = Str(entry, "aggregate_name");
+      if (aggregate == "median") {
+        s.median_ns = ToNs(entry, "cpu_time");
+      } else if (aggregate == "mad") {
+        s.mad_ns = ToNs(entry, "cpu_time");
+        s.has_spread = true;
       }
-      if (match == nullptr) {
-        ++*missing;
-        continue;
-      }
-      Compare(old_row, *match, path + "[" + sig + "].", threshold_pct, out,
-              missing);
+    } else {
+      ++s.runs;
+      s.single_run_ns = ToNs(entry, "cpu_time");
     }
   }
+  for (auto& [name, s] : *out) {
+    if (std::isnan(s.median_ns) && s.runs == 1) {
+      s.median_ns = s.single_run_ns;
+    }
+  }
+  return 0;
+}
+
+bool Usable(double median_ns) { return std::isfinite(median_ns) && median_ns > 0.0; }
+
+const Summary* FindBudgetOperand(const std::map<std::string, Summary>& runs,
+                                 const std::string& key) {
+  for (const auto& [run_name, s] : runs) {
+    if (run_name == key || run_name.rfind(key + "/iterations:", 0) == 0) {
+      return &s;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -163,67 +150,106 @@ void Compare(const JsonValue& before, const JsonValue& after,
 int main(int argc, char** argv) {
   optum::FlagParser flags;
   if (!flags.Parse(argc, argv) || flags.positional().size() != 2) {
-    std::fprintf(stderr,
-                 "usage: bench_diff [--threshold PCT] old.json new.json\n");
+    std::fprintf(stderr, "usage: bench_diff [--threshold PCT] old.json new.json\n");
     return 2;
   }
-  const double threshold = flags.GetDouble("threshold", 30.0);
+  const double threshold = flags.GetDouble("threshold", 10.0);
+  const std::string& old_path = flags.positional()[0];
+  const std::string& new_path = flags.positional()[1];
 
-  std::string old_text, new_text;
-  bool baseline_exists = true;
-  if (!ReadFile(flags.positional()[0], &old_text, &baseline_exists)) {
-    if (!baseline_exists) {
-      // A missing baseline is the expected state of a fresh checkout or a
-      // machine that has never benched — tell the user how to create one and
-      // pass the gate instead of failing it.
-      std::printf(
-          "bench_diff: no baseline at %s — nothing to compare against.\n"
-          "Run tools/bench_runner.sh --write-baseline to record one, then "
-          "commit it.\n",
-          flags.positional()[0].c_str());
-      return 0;
+  std::map<std::string, Summary> before, after;
+  const int old_status = Load(old_path, &before);
+  if (old_status == 1) {
+    std::printf(
+        "bench_diff: no baseline at %s — nothing to compare against.\n"
+        "Run tools/bench_runner.sh --write-baseline to record one, then commit it.\n",
+        old_path.c_str());
+    return 0;
+  }
+  if (old_status == 2) {
+    return 2;
+  }
+  const int new_status = Load(new_path, &after);
+  if (new_status != 0) {
+    if (new_status == 1) {
+      std::fprintf(stderr, "bench_diff: cannot open %s\n", new_path.c_str());
     }
     return 2;
   }
-  if (!ReadFile(flags.positional()[1], &new_text, nullptr)) {
-    return 2;
-  }
-  JsonValue before, after;
-  std::string error;
-  if (!optum::obs::ParseJson(old_text, &before, &error)) {
-    std::fprintf(stderr, "bench_diff: %s: %s\n", flags.positional()[0].c_str(),
-                 error.c_str());
-    return 2;
-  }
-  if (!optum::obs::ParseJson(new_text, &after, &error)) {
-    std::fprintf(stderr, "bench_diff: %s: %s\n", flags.positional()[1].c_str(),
-                 error.c_str());
-    return 2;
-  }
 
-  std::vector<Comparison> comparisons;
-  int missing = 0;
-  Compare(before, after, "", threshold, &comparisons, &missing);
-
-  int regressions = 0;
-  for (const Comparison& c : comparisons) {
-    if (c.regressed) {
-      ++regressions;
+  int failures = 0;
+  for (const auto& [name, s] : after) {
+    const auto old_it = before.find(name);
+    if (!s.error.empty()) {
+      std::printf("ERROR       %s: %s\n", name.c_str(), s.error.c_str());
+      ++failures;
+      continue;
     }
-    std::printf("%-11s %+7.1f%%  %-60s %12.1f -> %12.1f\n",
-                c.regressed ? "REGRESSION" : "ok", c.change_pct, c.path.c_str(),
-                c.old_value, c.new_value);
+    if (!Usable(s.median_ns)) {
+      std::printf("ERROR       %s: median cpu_time %g ns is zero or not finite\n",
+                  name.c_str(), s.median_ns);
+      ++failures;
+      continue;
+    }
+    if (old_it == before.end()) {
+      std::printf("NEW         %s: not in the baseline; re-record it with "
+                  "tools/bench_runner.sh --write-baseline\n",
+                  name.c_str());
+      ++failures;
+      continue;
+    }
+    const Summary& o = old_it->second;
+    if (!o.error.empty() || !Usable(o.median_ns)) {
+      std::printf("ERROR       %s: the baseline has no usable median (%s)\n", name.c_str(),
+                  o.error.empty() ? "zero or not finite" : o.error.c_str());
+      ++failures;
+      continue;
+    }
+    const double delta = s.median_ns - o.median_ns;
+    const double change_pct = delta / o.median_ns * 100.0;
+    const double spread = o.mad_ns + s.mad_ns;
+    const bool regressed = change_pct > threshold && delta > spread;
+    failures += regressed ? 1 : 0;
+    std::printf("%-11s %+7.1f%%  %-40s %12.1f -> %12.1f ns  (mad %.1f + %.1f)\n",
+                regressed ? "REGRESSION" : "ok", change_pct, name.c_str(), o.median_ns,
+                s.median_ns, o.mad_ns, s.mad_ns);
   }
-  if (missing > 0) {
-    std::printf("note: %d metric(s)/row(s) present in old but missing in new "
-                "(not compared)\n",
-                missing);
+
+  for (const Budget& b : kBudgets) {
+    const Summary* s = FindBudgetOperand(after, b.name);
+    const Summary* base = FindBudgetOperand(after, b.base);
+    if (s == nullptr || base == nullptr) {
+      std::printf("note: budget %s vs %s not run (filtered)\n", b.name, b.base);
+      continue;
+    }
+    if (!s->error.empty() || !base->error.empty() || !Usable(s->median_ns) ||
+        !Usable(base->median_ns)) {
+      continue;  // already a hard failure above
+    }
+    const double overhead_pct = (s->median_ns / base->median_ns - 1.0) * 100.0;
+    const double spread_pct = (s->mad_ns + base->mad_ns) / base->median_ns * 100.0;
+    const bool gated = s->has_spread && base->has_spread;
+    const bool breached = gated && overhead_pct > b.max_pct + spread_pct;
+    failures += breached ? 1 : 0;
+    std::printf("%-11s %+7.2f%%  %s vs %s  (limit %.1f%% + spread %.2f%%)%s\n",
+                !gated ? "budget n/a" : breached ? "OVER BUDGET" : "budget ok",
+                overhead_pct, b.name, b.base, b.max_pct, spread_pct,
+                gated ? "" : " — one repetition has no spread: not gated");
   }
-  std::printf("%zu metric(s) compared, %d regression(s) beyond %.1f%%\n",
-              comparisons.size(), regressions, threshold);
-  if (comparisons.empty()) {
-    std::fprintf(stderr, "bench_diff: no comparable throughput metrics found\n");
-    return 2;
+
+  int absent = 0;
+  for (const auto& [name, s] : before) {
+    if (after.find(name) == after.end()) {
+      std::printf("note: %s is in the baseline but not in the new run\n", name.c_str());
+      ++absent;
+    }
   }
-  return regressions > 0 ? 1 : 0;
+  if (after.empty()) {
+    std::printf("ERROR       %s holds no benchmarks\n", new_path.c_str());
+    ++failures;
+  }
+  std::printf("%zu benchmark(s), %d absent from the new run, %d failure(s); regression "
+              "threshold %.1f%% beyond the MAD spread\n",
+              after.size(), absent, failures, threshold);
+  return failures > 0 ? 1 : 0;
 }
